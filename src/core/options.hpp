@@ -94,10 +94,13 @@ struct SynthesisOptions {
   /// drown the queue on 5-variable functions.
   bool use_transposition_table = true;
 
-  /// Memory budget of the bounded transposition table in megabytes
-  /// (core/transposition.hpp, CLI `--tt-mb`). The table is sized once and
-  /// never grows; a full bucket evicts by `tt_replacement` instead of
-  /// allocating, so long runs hold steady-state memory.
+  /// Memory ceiling of the bounded transposition table in megabytes
+  /// (core/transposition.hpp, CLI `--tt-mb`). The table starts at 4 KiB
+  /// and doubles on demand, so a small search pays only for the entries it
+  /// makes; once the table has reached this ceiling, a full bucket evicts
+  /// by `tt_replacement` instead of allocating, so long runs hold
+  /// steady-state memory. Growth never changes a result: a grown table
+  /// answers every lookup exactly like one built at the ceiling.
   int tt_mb = 64;
 
   /// Eviction policy of a full table bucket (ablated in bench/ablation):
@@ -109,8 +112,10 @@ struct SynthesisOptions {
   /// Externally owned transposition table shared across search passes
   /// (non-owning, like trace_sink). synthesize() installs one per call so
   /// the iterative-deepening ladder and the refinement reruns share it —
-  /// the driver bumps its generation between passes. Null (the default)
-  /// makes each engine pass build its own from tt_mb / tt_replacement.
+  /// the driver bumps its generation between passes, and the table keeps
+  /// the size it has grown to (up to tt_mb) across them. Null (the
+  /// default) makes each engine pass build its own from tt_mb /
+  /// tt_replacement.
   TranspositionTable* tt = nullptr;
 
   /// History-guided ordering (core/history.hpp): blend each candidate's
@@ -217,7 +222,9 @@ struct SynthesisOptions {
   /// Shards (stripes) of the shared transposition table used when
   /// `num_threads > 1`; each shard is an independently locked map, so
   /// contention drops roughly linearly in the shard count. Per-shard hit
-  /// counts are reported in SynthesisStats::tt_shard_hits.
+  /// counts are reported in SynthesisStats::tt_shard_hits. Shards are
+  /// picked from hash bits that stay fixed while the table grows, so at
+  /// most 64 of them are distinct (core/transposition.hpp).
   int tt_shards = 16;
 
   /// Widest system (in variables) the engine may run on the dense

@@ -1,5 +1,8 @@
 #include "core/transposition.hpp"
 
+#include <algorithm>
+#include <new>
+
 #include "rev/pprm.hpp"  // splitmix64
 
 namespace rmrls {
@@ -24,23 +27,23 @@ TranspositionTable::TranspositionTable(int mb, int stripes,
                                        TTReplacement policy)
     : policy_(policy) {
   const std::size_t budget = static_cast<std::size_t>(mb < 1 ? 1 : mb) << 20;
-  buckets_ = round_down_pow2(budget / sizeof(Bucket));
-  if (buckets_ == 0) buckets_ = 1;
-  bucket_mask_ = buckets_ - 1;
-  table_.reset(
-      static_cast<Bucket*>(std::calloc(buckets_, sizeof(Bucket))));
-  num_stripes_ = static_cast<std::size_t>(stripes < 1 ? 1 : stripes);
-  stripes_ = std::make_unique<Stripe[]>(num_stripes_);
+  ceiling_ = round_down_pow2(budget / sizeof(Bucket));
+  init(std::min(ceiling_, kStartBytes / sizeof(Bucket)), stripes);
 }
 
 TranspositionTable::TranspositionTable(const Config& config)
     : policy_(config.policy) {
-  buckets_ = round_up_pow2(config.buckets == 0 ? 1 : config.buckets);
-  bucket_mask_ = buckets_ - 1;
-  table_.reset(
-      static_cast<Bucket*>(std::calloc(buckets_, sizeof(Bucket))));
-  num_stripes_ =
-      static_cast<std::size_t>(config.stripes < 1 ? 1 : config.stripes);
+  ceiling_ = round_up_pow2(config.buckets == 0 ? 1 : config.buckets);
+  init(ceiling_, config.stripes);
+}
+
+void TranspositionTable::init(std::size_t buckets, int stripes) {
+  table_.reset(static_cast<Bucket*>(std::calloc(buckets, sizeof(Bucket))));
+  if (!table_) throw std::bad_alloc();
+  buckets_ = buckets;
+  allocated_ = buckets;
+  stripe_mask_ = buckets - 1;
+  num_stripes_ = static_cast<std::size_t>(stripes < 1 ? 1 : stripes);
   stripes_ = std::make_unique<Stripe[]>(num_stripes_);
 }
 
@@ -52,11 +55,11 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
   // consumers' bucketing. The top two remix bits pick the kAlways victim
   // slot so that policy does not always clobber slot 0.
   const std::uint64_t mix = splitmix64(hash);
-  const std::size_t bucket = static_cast<std::size_t>(mix) & bucket_mask_;
   const std::uint8_t gen = generation_.load(std::memory_order_relaxed);
-  Stripe& stripe = stripes_[stripe_of(bucket)];
-  Entry* entries = table_[bucket].entries;
-  const std::lock_guard<std::mutex> lock(stripe.m);
+  Stripe& stripe = stripes_[stripe_of(mix)];
+  std::unique_lock<std::mutex> lock(stripe.m);
+  const std::size_t size = buckets_;
+  Entry* entries = table_[static_cast<std::size_t>(mix) & (size - 1)].entries;
 
   Entry* empty = nullptr;
   for (int i = 0; i < kBucketEntries; ++i) {
@@ -109,7 +112,14 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
     return false;
   }
 
-  // Bucket full: pick a victim by policy.
+  // Bucket full. A table built at the ceiling could still have room, so
+  // below the ceiling grow and look again; only a table at its ceiling
+  // evicts, picking a victim by policy.
+  if (size < ceiling_) {
+    lock.unlock();
+    grow(size);
+    return check_and_insert(hash, depth, owner, own_only);
+  }
   Entry* victim = &entries[0];
   switch (policy_) {
     case TTReplacement::kAlways:
@@ -141,6 +151,69 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
   ++stripe.inserts;
   ++stripe.evictions;
   return false;
+}
+
+void TranspositionTable::grow(std::size_t seen) {
+  // Index order; a lookup holds at most one stripe, so no cycle can form.
+  std::vector<std::unique_lock<std::mutex>> held;
+  held.reserve(num_stripes_);
+  for (std::size_t i = 0; i < num_stripes_; ++i) {
+    held.emplace_back(stripes_[i].m);
+  }
+  const std::size_t old = buckets_;
+  // A peer may have grown the table first, or growth may have stopped.
+  if (old != seen || old == ceiling_) return;
+
+  Bucket* const from = table_.get();
+  Bucket* to = from;
+  if (old * 2 > allocated_) {
+    // Heap tables double into a fresh heap array; the first size past
+    // kHeapLimitBytes takes the whole budget, inside which every later
+    // doubling happens in place.
+    const std::size_t want =
+        old * 2 * sizeof(Bucket) <= kHeapLimitBytes ? old * 2 : ceiling_;
+    to = static_cast<Bucket*>(std::calloc(want, sizeof(Bucket)));
+    if (to == nullptr) {
+      ceiling_ = old;  // refused: keep this size and evict from now on
+      return;
+    }
+    allocated_ = want;
+  }
+  // Stable split of bucket b into b and b + old by the new index bit: both
+  // keep their entries' slot order, which is what a table built at the
+  // doubled size would hold. Bucket b + old is still zero (a fresh calloc,
+  // or budget the table has not reached yet), and only slots that held an
+  // entry are written, so empty buckets stay untouched.
+  for (std::size_t b = 0; b < old; ++b) {
+    const Bucket src = from[b];
+    Entry* lo = to[b].entries;
+    Entry* hi = to[b + old].entries;
+    int nlo = 0;
+    int nhi = 0;
+    for (const Entry& e : src.entries) {
+      if (e.depth == 0) continue;
+      if ((splitmix64(e.hash) & old) != 0) {
+        hi[nhi++] = e;
+      } else {
+        lo[nlo++] = e;
+      }
+    }
+    for (int i = nlo; i < kBucketEntries; ++i) {
+      if (src.entries[i].depth != 0) lo[i] = Entry{};
+    }
+  }
+  if (to != from) table_.reset(to);
+  buckets_ = old * 2;
+}
+
+std::uint64_t TranspositionTable::capacity() const {
+  const std::lock_guard<std::mutex> lock(stripes_[0].m);
+  return static_cast<std::uint64_t>(ceiling_) * kBucketEntries;
+}
+
+std::size_t TranspositionTable::bytes() const {
+  const std::lock_guard<std::mutex> lock(stripes_[0].m);
+  return buckets_ * sizeof(Bucket);
 }
 
 void TranspositionTable::new_generation() {

@@ -1,14 +1,16 @@
 /// \file transposition.hpp
-/// \brief Bounded-memory transposition table with depth-preferred + aging
-///        replacement (docs/parallelism.md).
+/// \brief Bounded-memory transposition table that grows on demand up to its
+///        budget, with depth-preferred + aging replacement
+///        (docs/parallelism.md).
 ///
 /// Replaces the grow-only seen-tables (the sequential unordered_map and the
-/// parallel ShardedSeenTable) with the fixed-size bucketized layout mature
-/// game-tree searchers use: the table is a power-of-two array of 64-byte
-/// buckets, four 16-byte entries `{hash, depth, generation}` each, sized
-/// once from a megabyte budget (`SynthesisOptions::tt_mb`, CLI `--tt-mb`)
-/// and never growing. A full bucket evicts by policy instead of
-/// allocating:
+/// parallel ShardedSeenTable) with the bucketized layout mature game-tree
+/// searchers use: the table is a power-of-two array of 64-byte buckets,
+/// four 16-byte entries `{hash, depth, generation, owner}` each, bounded by
+/// a megabyte budget (`SynthesisOptions::tt_mb`, CLI `--tt-mb`). It starts
+/// at kStartBytes and doubles whenever an insert meets a full bucket; only
+/// once it has reached the budget does a full bucket evict by policy
+/// instead of growing:
 ///
 ///   * kAlways          — replace a fixed slot unconditionally (baseline).
 ///   * kDepthPreferred  — evict the *deepest* entry. RMRLS depth semantics
@@ -21,6 +23,19 @@
 ///                        passes decay out of the table instead of pinning
 ///                        it.
 ///
+/// Growth never changes an answer. A doubling splits every bucket stably
+/// by the next index bit (entries keep their slot order), so each bucket
+/// then holds exactly what it would hold in a table built at the larger
+/// size; and since nothing is evicted below the budget, every
+/// check_and_insert returns what it would return on a table built at the
+/// budget size from the start. Tables up to kHeapLimitBytes live in heap
+/// memory, which malloc recycles across calls without page faults; the
+/// first growth past that limit calloc()s the whole budget once (untouched
+/// pages stay unmapped) and the table doubles in place inside it from then
+/// on, so a cold search pays only for the entries it actually makes. If
+/// the budget allocation is refused, growth stops: the table keeps its
+/// size and evicts from then on.
+///
 /// Generations make one table safely shareable across the search passes of
 /// a whole synthesize() call (iterative deepening ladder + refinement
 /// reruns + the broad-scope retry): the driver bumps `new_generation()`
@@ -31,11 +46,16 @@
 /// re-reached at the same or a deeper depth prunes, a shallower
 /// rediscovery overwrites the stored depth and must be re-expanded.
 ///
-/// Thread safety: striped mutexes (stripe = bucket index mod stripe
-/// count, one stripe per SynthesisOptions::tt_shards). Per-stripe hit
-/// counters keep the SynthesisStats::tt_shard_hits contract of the table
-/// this one replaces; inserts/evictions/occupancy feed the new
-/// `tt_inserts` / `tt_evictions` metrics and telemetry gauges.
+/// Thread safety: striped mutexes, one stripe per
+/// SynthesisOptions::tt_shards. A bucket's stripe comes from the hash bits
+/// under the starting size's mask, which name the same stripe at every
+/// table size, so a lookup picks its stripe before it reads the size (and
+/// a budget-built table has at most kStartBytes / 64 distinct stripes).
+/// Growth takes every stripe lock in index order; a lookup holds only one
+/// at a time, so this cannot deadlock. Per-stripe hit counters keep the
+/// SynthesisStats::tt_shard_hits contract of the table this one replaces;
+/// inserts/evictions/occupancy feed the `tt_inserts` / `tt_evictions`
+/// metrics and telemetry gauges.
 ///
 /// Owner tags: every entry carries the byte its writer passed as `owner`.
 /// A caller passing `own_only = true` prunes only on entries bearing its
@@ -74,7 +94,8 @@ enum class TTReplacement : std::uint8_t { kAlways, kDepthPreferred, kAging };
 class TranspositionTable {
  public:
   /// Exact sizing for unit tests: `buckets` is rounded up to a power of
-  /// two, each bucket holds kBucketEntries entries.
+  /// two, each bucket holds kBucketEntries entries. Such a table is built
+  /// at its full size and never grows.
   struct Config {
     std::size_t buckets = 1;
     int stripes = 1;
@@ -82,11 +103,19 @@ class TranspositionTable {
   };
 
   static constexpr int kBucketEntries = 4;
+  /// Size a budget-built table starts at (its bucket count bounds the
+  /// number of distinct stripes).
+  static constexpr std::size_t kStartBytes = std::size_t{4} << 10;
+  /// Largest size kept in heap memory; growing past it allocates the
+  /// whole budget.
+  static constexpr std::size_t kHeapLimitBytes = std::size_t{256} << 10;
 
-  /// Budget-based sizing: the largest power-of-two bucket count whose
-  /// footprint fits in `mb` megabytes (minimum one bucket). `stripes`
-  /// mutexes guard the array; per-stripe hit counts are reported in the
-  /// same order.
+  /// Budget-based sizing: the ceiling is the largest power-of-two bucket
+  /// count whose footprint fits in `mb` megabytes (minimum one bucket);
+  /// the table starts at kStartBytes (or the ceiling, if smaller) and
+  /// grows on demand. `stripes` mutexes guard the array; per-stripe hit
+  /// counts are reported in the same order. Throws std::bad_alloc if the
+  /// starting allocation is refused.
   TranspositionTable(int mb, int stripes, TTReplacement policy);
   explicit TranspositionTable(const Config& config);
 
@@ -131,15 +160,11 @@ class TranspositionTable {
   /// Occupied entries (monotone until full; evictions replace in place).
   [[nodiscard]] std::uint64_t entry_count() const;
 
-  /// Hard capacity in entries; entry_count() can never exceed it.
-  [[nodiscard]] std::uint64_t capacity() const {
-    return static_cast<std::uint64_t>(buckets_) * kBucketEntries;
-  }
-  /// Bytes held by the bucket array (the table's only unbounded-input
-  /// allocation; fixed at construction).
-  [[nodiscard]] std::size_t bytes() const {
-    return buckets_ * sizeof(Bucket);
-  }
+  /// Hard capacity in entries, the budget's (lower only if the budget
+  /// allocation was refused); entry_count() can never exceed it.
+  [[nodiscard]] std::uint64_t capacity() const;
+  /// Bytes of the bucket array at its current, grown size.
+  [[nodiscard]] std::size_t bytes() const;
 
  private:
   struct Entry {
@@ -163,19 +188,27 @@ class TranspositionTable {
     std::uint64_t occupied = 0;
   };
 
-  [[nodiscard]] std::size_t stripe_of(std::size_t bucket) const {
-    return bucket % num_stripes_;
+  void init(std::size_t buckets, int stripes);
+  /// Takes every stripe lock and doubles the table, unless a peer already
+  /// grew it past `seen` buckets or it is at its ceiling. If the memory
+  /// is refused, lowers the ceiling to the current size instead.
+  void grow(std::size_t seen);
+
+  [[nodiscard]] std::size_t stripe_of(std::uint64_t mix) const {
+    return (static_cast<std::size_t>(mix) & stripe_mask_) % num_stripes_;
   }
 
-  std::size_t buckets_ = 0;    // power of two
-  std::size_t bucket_mask_ = 0;
   TTReplacement policy_ = TTReplacement::kAging;
   struct FreeDeleter {
     void operator()(Bucket* p) const { std::free(p); }
   };
-  /// calloc-backed so untouched pages stay unmapped: a 64 MB default
-  /// budget costs nothing for the small runs that never fill it.
+  // The table's shape changes only under every stripe lock, so holding
+  // any one of them makes these four fields safe to read.
   std::unique_ptr<Bucket[], FreeDeleter> table_;
+  std::size_t buckets_ = 0;    ///< current size, a power of two
+  std::size_t allocated_ = 0;  ///< buckets table_ has room for
+  std::size_t ceiling_ = 0;    ///< the budget's buckets; growth stops here
+  std::size_t stripe_mask_ = 0;  ///< starting size - 1; fixed
   /// Plain array, not a vector: Stripe holds a mutex and is immovable.
   std::size_t num_stripes_ = 1;
   std::unique_ptr<Stripe[]> stripes_;

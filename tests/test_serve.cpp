@@ -467,9 +467,15 @@ TEST(ServeRobustness, ShutdownFrameDrainsGracefully) {
   ASSERT_NE(draining, nullptr);
   EXPECT_TRUE(draining->boolean);
 
-  // Drain lets the admitted job finish and deliver before the hangup.
-  const std::optional<JsonValue> result =
-      client.read_until("result", milliseconds(10000));
+  // Drain lets the admitted job finish and deliver before the hangup. A
+  // fast job may deliver before the daemon reads the shutdown frame, in
+  // which case its result came in ahead of the ack.
+  std::optional<JsonValue> result;
+  for (const JsonValue& v : client.skipped()) {
+    const JsonValue* kind = v.find("record");
+    if (kind != nullptr && kind->string == "result") result = v;
+  }
+  if (!result) result = client.read_until("result", milliseconds(10000));
   ASSERT_TRUE(result.has_value());
   EXPECT_STREQ(field_string(*result, "id"), "last");
   EXPECT_EQ(harness.stop(), 0);

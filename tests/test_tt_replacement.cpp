@@ -2,14 +2,19 @@
 // replacement-policy semantics on a single bucket, the depth rule the
 // table inherits from the seen-map it replaced (including the
 // shallower-revisit-overwrites regression), generation aging and
-// rollover, bounded memory under sustained insert pressure, and the
-// determinism of the single-threaded iterative-deepening driver built on
-// top of it.
+// rollover, bounded memory under sustained insert pressure, on-demand
+// growth (a grown table answers exactly like one built at its ceiling;
+// concurrent growth loses nothing), and the determinism of the
+// single-threaded iterative-deepening driver built on top of it.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
 #include <numeric>
+#include <random>
+#include <thread>
+#include <vector>
 
 #include "core/synthesizer.hpp"
 #include "core/transposition.hpp"
@@ -163,8 +168,8 @@ TEST(TranspositionTable, GenerationRollover) {
 }
 
 // The bound that motivates the whole design: ten million inserts into a
-// 1 MiB table stay inside the fixed footprint. The grow-only seen-map
-// this table replaced would hold all 10^7 entries (~hundreds of MB).
+// 1 MiB table stay inside the budget. The grow-only seen-map this table
+// replaced would hold all 10^7 entries (~hundreds of MB).
 TEST(TranspositionTable, BoundedMemoryUnderSustainedInsertPressure) {
   TranspositionTable tt(1, 4, TTReplacement::kAging);
   const std::uint64_t capacity = tt.capacity();
@@ -209,6 +214,114 @@ TEST(TranspositionTable, BudgetSizingFitsAndIsPowerOfTwo) {
         tt.capacity() / TranspositionTable::kBucketEntries;
     EXPECT_EQ(buckets & (buckets - 1), 0u) << "bucket count " << buckets;
   }
+}
+
+// On-demand growth must be invisible: a table that starts small, grows
+// to its ceiling and then evicts answers every call exactly like a table
+// built at that ceiling, under every policy. The stream mixes a hot set
+// (repeats, shallower and deeper revisits) with a cold tail that forces
+// growth and then eviction, owner tags with own_only takeovers, and
+// generation bumps.
+TEST(TranspositionTable, GrownTableMatchesTableBuiltAtCeiling) {
+  for (const TTReplacement policy :
+       {TTReplacement::kAlways, TTReplacement::kDepthPreferred,
+        TTReplacement::kAging}) {
+    SCOPED_TRACE(to_string(policy));
+    TranspositionTable grown(1, 4, policy);
+    TranspositionTable::Config config;
+    config.buckets = static_cast<std::size_t>(
+        grown.capacity() / TranspositionTable::kBucketEntries);
+    config.stripes = 4;
+    config.policy = policy;
+    TranspositionTable built(config);
+    ASSERT_LT(grown.bytes(), built.bytes());
+
+    std::mt19937_64 rng(2024);
+    constexpr int kCalls = 400'000;
+    for (int call = 0; call < kCalls; ++call) {
+      if (rng() % 25'000 == 0) {
+        grown.new_generation();
+        built.new_generation();
+      }
+      const std::uint64_t key =
+          (rng() & 1) != 0 ? rng() % 2'000 : 2'000 + rng() % 300'000;
+      const std::uint64_t hash = key * 0x9E3779B97F4A7C15ULL + 1;
+      const auto depth = static_cast<std::int32_t>(1 + rng() % 12);
+      const auto owner = static_cast<std::uint8_t>(rng() % 3);
+      const bool own_only = rng() % 8 == 0;
+      ASSERT_EQ(grown.check_and_insert(hash, depth, owner, own_only),
+                built.check_and_insert(hash, depth, owner, own_only))
+          << "call " << call;
+    }
+    EXPECT_EQ(grown.bytes(), built.bytes());  // reached its ceiling
+    EXPECT_GT(built.evictions(), 0u);         // ...and evicted there
+    EXPECT_EQ(grown.total_hits(), built.total_hits());
+    EXPECT_EQ(grown.inserts(), built.inserts());
+    EXPECT_EQ(grown.evictions(), built.evictions());
+    EXPECT_EQ(grown.entry_count(), built.entry_count());
+    EXPECT_EQ(grown.hit_counts(), built.hit_counts());
+  }
+}
+
+// A small search must not pay for its budget: 1000 entries under the
+// default 64 MiB budget stay in a heap-sized table, while capacity()
+// still reports the budget's.
+TEST(TranspositionTable, SmallRunStaysSmallUnderLargeBudget) {
+  // 64 MiB of 64-byte buckets.
+  constexpr std::uint64_t kBudgetEntries =
+      (std::uint64_t{64} << 20) / 64 * TranspositionTable::kBucketEntries;
+  TranspositionTable tt(64, 16, TTReplacement::kAging);
+  EXPECT_EQ(tt.bytes(), TranspositionTable::kStartBytes);
+  EXPECT_EQ(tt.capacity(), kBudgetEntries);
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    EXPECT_FALSE(tt.check_and_insert(splitmix64(i), 3));
+  }
+  EXPECT_GT(tt.bytes(), TranspositionTable::kStartBytes);
+  EXPECT_LE(tt.bytes(), TranspositionTable::kHeapLimitBytes);
+  EXPECT_EQ(tt.capacity(), kBudgetEntries);
+  EXPECT_EQ(tt.entry_count(), 1000u);
+  EXPECT_EQ(tt.evictions(), 0u);
+}
+
+// Concurrent growth (tsan preset: `ctest -L concurrency`): threads insert
+// disjoint hashes into one table that starts small and must grow through
+// its heap sizes into the budget allocation while they race. With room
+// for every entry, nothing may be lost: each hash prunes at its depth
+// afterwards, and every insert is still an occupied entry.
+TEST(TranspositionTable, ConcurrentGrowthLosesNothing) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 8'000;
+  TranspositionTable tt(64, 4, TTReplacement::kAging);
+  const auto hash_of = [](int t, std::uint64_t i) {
+    return splitmix64((static_cast<std::uint64_t>(t) << 32) | i);
+  };
+  const auto depth_of = [](std::uint64_t i) {
+    return static_cast<std::int32_t>(1 + i % 9);
+  };
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  std::vector<int> fresh(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        if (!tt.check_and_insert(hash_of(t, i), depth_of(i))) ++fresh[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(fresh[t], static_cast<int>(kPerThread)) << "thread " << t;
+    for (std::uint64_t i = 0; i < kPerThread; ++i) {
+      ASSERT_TRUE(tt.check_and_insert(hash_of(t, i), depth_of(i)))
+          << "thread " << t << " hash " << i;
+    }
+  }
+  EXPECT_GT(tt.bytes(), TranspositionTable::kHeapLimitBytes);
+  EXPECT_EQ(tt.inserts(), kThreads * kPerThread);
+  EXPECT_EQ(tt.entry_count(), tt.inserts());
+  EXPECT_EQ(tt.evictions(), 0u);
 }
 
 // The iterative-deepening driver on top of the table must stay

@@ -7,6 +7,7 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -107,10 +108,11 @@ void help(const char* argv0, std::ostream& os) {
         "                     time re-deriving peers' states)\n"
         "  --tt-shards N      lock stripes of the shared transposition\n"
         "                     table (parallel engine only, default 16)\n"
-        "  --tt-mb N          transposition-table memory budget in MiB\n"
-        "                     (default 64); the table is bounded and"
-        " evicts\n"
-        "                     by --tt-policy instead of growing\n"
+        "  --tt-mb N          transposition-table memory ceiling in MiB\n"
+        "                     (default 64); the table starts at 4 KiB,"
+        " doubles\n"
+        "                     on demand up to N and only then evicts by\n"
+        "                     --tt-policy\n"
         "  --tt-policy P      replacement policy: always | depth | aging\n"
         "                     (default aging); see docs/parallelism.md\n"
         "  --no-history       disable the history heuristic (learned\n"
@@ -226,6 +228,17 @@ long long num_ll(const std::string& arg, const std::string& v) {
   }
 }
 
+// int-typed options: range-checked before narrowing, so an out-of-range
+// value is reported instead of silently wrapping.
+int num_int(const std::string& arg, const std::string& v) {
+  const long long n = num_ll(arg, v);
+  if (n < std::numeric_limits<int>::min() ||
+      n > std::numeric_limits<int>::max()) {
+    bad_number(arg, v);
+  }
+  return static_cast<int>(n);
+}
+
 unsigned long long num_ull(const std::string& arg, const std::string& v) {
   try {
     std::size_t used = 0;
@@ -300,18 +313,17 @@ int main(int argc, char** argv) {
       cache_mb = num_ll(arg, next());
       if (cache_mb < 0) bad_number(arg, std::to_string(cache_mb));
     } else if (arg == "--canonical-cap") {
-      canonical_cap = static_cast<int>(num_ll(arg, next()));
+      canonical_cap = num_int(arg, next());
       if (canonical_cap < 0) bad_number(arg, std::to_string(canonical_cap));
     } else if (arg == "--batch-threads") {
-      batch_threads = static_cast<int>(num_ll(arg, next()));
+      batch_threads = num_int(arg, next());
       if (batch_threads < 0) bad_number(arg, std::to_string(batch_threads));
     } else if (arg == "--shard") {
       const std::string v = next();
       const std::size_t slash = v.find('/');
       if (slash == std::string::npos) bad_number(arg, v);
-      shard_index =
-          static_cast<int>(num_ll(arg, v.substr(0, slash)));
-      shard_count = static_cast<int>(num_ll(arg, v.substr(slash + 1)));
+      shard_index = num_int(arg, v.substr(0, slash));
+      shard_count = num_int(arg, v.substr(slash + 1));
       if (shard_count < 1 || shard_index < 0 || shard_index >= shard_count) {
         std::cerr << "--shard wants I/N with 0 <= I < N, got '" << v
                   << "'\n";
@@ -334,9 +346,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--gamma") {
       options.gamma = num_d(arg, next());
     } else if (arg == "--greedy") {
-      options.greedy_k = static_cast<int>(num_ll(arg, next()));
+      options.greedy_k = num_int(arg, next());
     } else if (arg == "--max-gates") {
-      options.max_gates = static_cast<int>(num_ll(arg, next()));
+      options.max_gates = num_int(arg, next());
     } else if (arg == "--max-nodes") {
       options.max_nodes = num_ull(arg, next());
     } else if (arg == "--time-ms") {
@@ -350,7 +362,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-tt") {
       options.use_transposition_table = false;
     } else if (arg == "--cbudget") {
-      options.exempt_budget = static_cast<int>(num_ll(arg, next()));
+      options.exempt_budget = num_int(arg, next());
     } else if (arg == "--scope") {
       const std::string s = next();
       options.exempt_scope =
@@ -360,7 +372,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--restart") {
       options.restart_interval = num_ull(arg, next());
     } else if (arg == "--threads") {
-      options.num_threads = static_cast<int>(num_ll(arg, next()));
+      options.num_threads = num_int(arg, next());
       if (options.num_threads < 0) bad_number(arg, std::to_string(options.num_threads));
     } else if (arg == "--queue") {
       const long long v = num_ll(arg, next());
@@ -369,10 +381,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--oversubscribe") {
       options.allow_oversubscription = true;
     } else if (arg == "--tt-shards") {
-      options.tt_shards = static_cast<int>(num_ll(arg, next()));
+      options.tt_shards = num_int(arg, next());
       if (options.tt_shards < 1) bad_number(arg, std::to_string(options.tt_shards));
     } else if (arg == "--tt-mb") {
-      options.tt_mb = static_cast<int>(num_ll(arg, next()));
+      options.tt_mb = num_int(arg, next());
       if (options.tt_mb < 1) bad_number(arg, std::to_string(options.tt_mb));
     } else if (arg == "--tt-policy") {
       const std::string s = next();
@@ -392,7 +404,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-id") {
       options.iterative_deepening = false;
     } else if (arg == "--dense-threshold") {
-      options.dense_threshold = static_cast<int>(num_ll(arg, next()));
+      options.dense_threshold = num_int(arg, next());
       if (options.dense_threshold < 0) {
         bad_number(arg, std::to_string(options.dense_threshold));
       }

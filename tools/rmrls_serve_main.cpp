@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "core/status.hpp"
@@ -84,6 +85,14 @@ long long arg_number(int argc, char** argv, int& i, const char* flag) {
   return v;
 }
 
+// int-typed options: range-checked before narrowing, so an out-of-range
+// value is reported instead of silently wrapping.
+int arg_int(int argc, char** argv, int& i, const char* flag) {
+  const long long v = arg_number(argc, argv, i, flag);
+  if (v > std::numeric_limits<int>::max()) bad_number(flag);
+  return static_cast<int>(v);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,14 +110,12 @@ int main(int argc, char** argv) {
       options.socket_path = argv[++i];
       address_set = true;
     } else if (arg == "--port") {
-      options.tcp_port = static_cast<int>(arg_number(argc, argv, i, "--port"));
+      options.tcp_port = arg_int(argc, argv, i, "--port");
       address_set = true;
     } else if (arg == "--workers") {
-      options.workers =
-          static_cast<int>(arg_number(argc, argv, i, "--workers"));
+      options.workers = arg_int(argc, argv, i, "--workers");
     } else if (arg == "--search-threads") {
-      options.search_threads =
-          static_cast<int>(arg_number(argc, argv, i, "--search-threads"));
+      options.search_threads = arg_int(argc, argv, i, "--search-threads");
     } else if (arg == "--queue-cap") {
       options.queue_cap =
           static_cast<std::size_t>(arg_number(argc, argv, i, "--queue-cap"));
