@@ -103,18 +103,6 @@ int main(int argc, char** argv) {
        [](SynthesisOptions& o) { o.restart_interval = 2000; }},
       {"no transposition table",
        [](SynthesisOptions& o) { o.use_transposition_table = false; }},
-      {"tt policy = always",
-       [](SynthesisOptions& o) {
-         o.tt_replacement = TTReplacement::kAlways;
-       }},
-      {"tt policy = depth-preferred",
-       [](SynthesisOptions& o) {
-         o.tt_replacement = TTReplacement::kDepthPreferred;
-       }},
-      {"tt policy = aging",
-       [](SynthesisOptions& o) {
-         o.tt_replacement = TTReplacement::kAging;
-       }},
       {"tt budget = 1 MiB",
        [](SynthesisOptions& o) { o.tt_mb = 1; }},
       {"no history heuristic",

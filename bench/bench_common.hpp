@@ -18,8 +18,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 #include "core/search.hpp"
@@ -42,11 +42,10 @@ struct BenchArgs {
   /// Dense-kernel width cap (docs/dense_pprm.md): -1 = keep the library
   /// default, 0 = force sparse, N > 0 = dense up to N variables.
   int dense_threshold = -1;
-  /// Search-core knobs (docs/parallelism.md): transposition-table budget
-  /// and replacement policy, plus the two PR-7 heuristic kill switches the
-  /// ablation harness flips.
+  /// Search-core knobs (docs/parallelism.md): transposition-table budget,
+  /// plus the history and iterative-deepening kill switches the ablation
+  /// harness flips.
   int tt_mb = 0;  // 0 = library default
-  TTReplacement tt_replacement = TTReplacement::kAging;
   bool use_history = true;
   bool iterative_deepening = true;
 
@@ -55,7 +54,6 @@ struct BenchArgs {
     options.num_threads = threads;
     if (dense_threshold >= 0) options.dense_threshold = dense_threshold;
     if (tt_mb > 0) options.tt_mb = tt_mb;
-    options.tt_replacement = tt_replacement;
     options.use_history = use_history;
     options.iterative_deepening = iterative_deepening;
   }
@@ -79,7 +77,6 @@ struct BenchArgs {
           "                  (-1 = library default, 0 = always sparse)\n"
           "  --tt-mb N       transposition-table budget in MiB (0 = library\n"
           "                  default)\n"
-          "  --tt-policy P   TT replacement policy: always | depth | aging\n"
           "  --no-history    disable the history-heuristic ordering bonus\n"
           "  --no-id         disable iterative deepening on the gate bound\n"
           "  --help          this text\n";
@@ -96,56 +93,42 @@ struct BenchArgs {
         }
         return argv[++i];
       };
-      // std::stoull throws on junk; turn that into a clean diagnostic
-      // instead of an uncaught-exception abort.
-      const auto next_u64 = [&]() -> std::uint64_t {
+      // Junk, negative and out-of-range values exit 2 with a diagnostic
+      // instead of aborting or wrapping (std::stoull reads "-1" as
+      // 2^64 - 1, and a static_cast<int> truncates).
+      const auto next_number = [&](long long lo, long long hi) -> long long {
         const std::string value = next();
         try {
           std::size_t used = 0;
-          const std::uint64_t parsed = std::stoull(value, &used);
-          if (used != value.size()) throw std::invalid_argument(value);
-          return parsed;
+          const long long parsed = std::stoll(value, &used);
+          if (used == value.size() && parsed >= lo && parsed <= hi) {
+            return parsed;
+          }
         } catch (const std::exception&) {
-          std::cerr << "invalid number for " << arg << ": '" << value
-                    << "'\n";
-          std::exit(2);
         }
+        std::cerr << "invalid number for " << arg << ": '" << value << "'\n";
+        std::exit(2);
       };
+      constexpr long long kMax = std::numeric_limits<long long>::max();
+      constexpr int kIntMax = std::numeric_limits<int>::max();
       if (arg == "--samples") {
-        a.samples = next_u64();
+        a.samples = static_cast<std::uint64_t>(next_number(0, kMax));
       } else if (arg == "--max-nodes") {
-        a.max_nodes = next_u64();
+        a.max_nodes = static_cast<std::uint64_t>(next_number(0, kMax));
       } else if (arg == "--full") {
         a.full = true;
       } else if (arg == "--seed") {
-        a.seed = next_u64();
+        a.seed = static_cast<std::uint64_t>(next_number(0, kMax));
       } else if (arg == "--json") {
         a.json_out = next();
       } else if (arg == "--heartbeat-ms") {
-        a.heartbeat_ms = static_cast<long long>(next_u64());
-        if (a.heartbeat_ms < 1) {
-          std::cerr << "invalid number for " << arg << "\n";
-          std::exit(2);
-        }
+        a.heartbeat_ms = next_number(1, kMax);
       } else if (arg == "--threads") {
-        a.threads = static_cast<int>(next_u64());
+        a.threads = static_cast<int>(next_number(0, kIntMax));
       } else if (arg == "--dense-threshold") {
-        a.dense_threshold = static_cast<int>(next_u64());
+        a.dense_threshold = static_cast<int>(next_number(-1, kIntMax));
       } else if (arg == "--tt-mb") {
-        a.tt_mb = static_cast<int>(next_u64());
-      } else if (arg == "--tt-policy") {
-        const std::string value = next();
-        if (value == "always") {
-          a.tt_replacement = TTReplacement::kAlways;
-        } else if (value == "depth") {
-          a.tt_replacement = TTReplacement::kDepthPreferred;
-        } else if (value == "aging") {
-          a.tt_replacement = TTReplacement::kAging;
-        } else {
-          std::cerr << "--tt-policy wants always|depth|aging, got '" << value
-                    << "'\n";
-          std::exit(2);
-        }
+        a.tt_mb = static_cast<int>(next_number(0, kIntMax));
       } else if (arg == "--no-history") {
         a.use_history = false;
       } else if (arg == "--no-id") {

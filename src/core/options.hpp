@@ -8,14 +8,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/transposition.hpp"  // TTReplacement
-
 namespace rmrls {
 
 class TraceSink;      // obs/trace.hpp
 struct PhaseProfile;  // obs/phase_profile.hpp
 class CancelToken;    // core/cancel.hpp
 class HistoryTable;   // core/history.hpp
+class TranspositionTable;  // core/transposition.hpp
 
 /// Options controlling the RMRLS best-first search. Defaults reproduce the
 /// paper's configuration: priority weights (0.3, 0.6, 0.1), both classes of
@@ -98,40 +97,31 @@ struct SynthesisOptions {
   /// (core/transposition.hpp, CLI `--tt-mb`). The table starts at 4 KiB
   /// and doubles on demand, so a small search pays only for the entries it
   /// makes; once the table has reached this ceiling, a full bucket evicts
-  /// by `tt_replacement` instead of allocating, so long runs hold
-  /// steady-state memory. Growth never changes a result: a grown table
-  /// answers every lookup exactly like one built at the ceiling.
+  /// its oldest-generation entry (the deepest among equals) instead of
+  /// allocating, so long runs hold steady-state memory. Growth never
+  /// changes a result: a grown table answers every lookup exactly like one
+  /// built at the ceiling.
   int tt_mb = 64;
 
-  /// Eviction policy of a full table bucket (ablated in bench/ablation):
-  /// kAging (default) retires entries of older search passes first,
-  /// kDepthPreferred evicts the deepest (least valuable) entry, kAlways
-  /// unconditionally replaces a fixed slot.
-  TTReplacement tt_replacement = TTReplacement::kAging;
-
-  /// Externally owned transposition table shared across search passes
-  /// (non-owning, like trace_sink). synthesize() installs one per call so
-  /// the iterative-deepening ladder and the refinement reruns share it —
-  /// the driver bumps its generation between passes, and the table keeps
-  /// the size it has grown to (up to tt_mb) across them. Null (the
-  /// default) makes each engine pass build its own from tt_mb /
-  /// tt_replacement.
+  /// The transposition table the engines dedup against (non-owning, like
+  /// trace_sink). synthesize() builds one per call from tt_mb when
+  /// use_transposition_table is set, and installs it here so the
+  /// iterative-deepening ladder and the refinement reruns share it — the
+  /// driver bumps its generation between passes, and the table keeps the
+  /// size it has grown to across them. synthesize() overwrites a caller's
+  /// value; null means the engines run without deduplication.
   TranspositionTable* tt = nullptr;
 
   /// History-guided ordering (core/history.hpp): blend each candidate's
-  /// (target, factor-class) success score into eq. (4) as a bonus of at
-  /// most `history_weight`. false (`--no-history`) restores the
-  /// paper-exact ordering.
+  /// (target, factor-class) success score into eq. (4) as a small bonus
+  /// (core/search.cpp kHistoryWeight). false (`--no-history`) restores
+  /// the paper-exact ordering.
   bool use_history = true;
 
-  /// Weight of the normalized history bonus added to eq. (4). Small by
-  /// design: history breaks ties and nudges, it never overrides a clear
-  /// eq.-4 preference.
-  double history_weight = 0.10;
-
-  /// Externally owned history table (non-owning); installed by
-  /// synthesize() per call so passes share learned preferences. Null with
-  /// use_history makes each pass learn only within itself.
+  /// The history table the engines learn into and order by (non-owning).
+  /// synthesize() builds one per call when use_history is set and
+  /// installs it here, so its passes share learned preferences; it
+  /// overwrites a caller's value. Null means no history ordering.
   HistoryTable* history = nullptr;
 
   /// Iterative deepening on the max-gates bound (`--no-id` disables):
@@ -219,14 +209,6 @@ struct SynthesisOptions {
   /// exactly `num_threads` workers regardless of the host.
   bool allow_oversubscription = false;
 
-  /// Shards (stripes) of the shared transposition table used when
-  /// `num_threads > 1`; each shard is an independently locked map, so
-  /// contention drops roughly linearly in the shard count. Per-shard hit
-  /// counts are reported in SynthesisStats::tt_shard_hits. Shards are
-  /// picked from hash bits that stay fixed while the table grows, so at
-  /// most 64 of them are distinct (core/transposition.hpp).
-  int tt_shards = 16;
-
   /// Widest system (in variables) the engine may run on the dense
   /// word-parallel PPRM kernel (rev/pprm_dense.hpp, docs/dense_pprm.md).
   /// At or below this width — and when the spectrum is dense enough for
@@ -304,13 +286,14 @@ struct SynthesisStats {
   /// sequential engine, SynthesisOptions::num_threads (resolved) for the
   /// parallel one. Driver passes take the maximum across their sub-runs.
   std::uint64_t workers = 1;
-  /// Duplicate hits per shard of the shared transposition table (parallel
-  /// engine only; empty for sequential runs, where every duplicate is in
-  /// pruned_duplicate). Summed element-wise when runs accumulate.
+  /// Duplicate hits per lock stripe of the shared transposition table
+  /// (TranspositionTable::kStripes entries; parallel engine only, empty
+  /// for sequential runs, where every duplicate is in pruned_duplicate).
+  /// Summed element-wise when runs accumulate.
   std::vector<std::uint64_t> tt_shard_hits;
   /// Transposition-table traffic of this run (core/transposition.hpp):
   /// entries written (fresh slots + evicting replacements) and entries
-  /// evicted by the replacement policy. Always evictions <= inserts, an
+  /// evicted at the table's memory ceiling. Always evictions <= inserts, an
   /// invariant metrics_check enforces. Both are per-run deltas even when
   /// the table itself is shared across a driver's passes.
   std::uint64_t tt_inserts = 0;

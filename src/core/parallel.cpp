@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <thread>
 #include <utility>
 
-#include "core/history.hpp"
 #include "core/search.hpp"
+#include "core/transposition.hpp"
 #include "obs/phase_profile.hpp"
 #include "obs/trace.hpp"
 
@@ -69,30 +68,14 @@ SynthesisResult run_parallel_impl(const Rep& start,
   const auto wall_start = Clock::now();
   const int requested = resolve_threads(options.num_threads);
 
-  // The pass's shared structures: the bounded transposition table (the
-  // driver's pass-spanning one when installed, else built here for this
-  // pass) and the shared history table.
-  std::unique_ptr<TranspositionTable> local_tt;
-  TranspositionTable* pass_tt = nullptr;
-  if (options.use_transposition_table) {
-    pass_tt = options.tt;
-    if (pass_tt == nullptr) {
-      local_tt = std::make_unique<TranspositionTable>(
-          options.tt_mb, options.tt_shards, options.tt_replacement);
-      pass_tt = local_tt.get();
-    }
-  }
-  std::unique_ptr<HistoryTable> local_history;
+  // The pass's shared structures are the driver's pass-spanning tables
+  // (options.tt, options.history); either is null when its feature is off.
+  TranspositionTable* const pass_tt = options.tt;
   SynthesisOptions pass_options = options;
-  pass_options.tt = pass_tt;
   // The root expansion's depth-1 claims carry the canonical worker's tag:
   // they are exactly the entries the sequential engine would have written
   // first, so worker 0 prunes on them like its own (see the worker loop).
   pass_options.tt_owner = kCanonicalOwner;
-  if (options.use_history && options.history == nullptr) {
-    local_history = std::make_unique<HistoryTable>();
-    pass_options.history = local_history.get();
-  }
   const TranspositionTable::Snapshot tt_before =
       pass_tt != nullptr ? pass_tt->snapshot() : TranspositionTable::Snapshot{};
 
@@ -186,7 +169,7 @@ SynthesisResult run_parallel_impl(const Rep& start,
     if (hw > 0) capped = std::min<int>(capped, static_cast<int>(hw));
   }
   const int num_workers = std::max(1, capped);
-  detail::SharedSearchContext shared(pass_tt, remaining_budget);
+  detail::SharedSearchContext shared(remaining_budget);
 
   // Per-worker seed vectors are prepared before any thread starts (the
   // workers would otherwise race on root.seeds). Worker 0 keeps the
@@ -292,11 +275,10 @@ SynthesisResult run_parallel_impl(const Rep& start,
     result.stats.tt_inserts = tt_after.inserts - tt_before.inserts;
     result.stats.tt_evictions = tt_after.evictions - tt_before.evictions;
     result.stats.tt_generation = pass_tt->generation();
-    result.stats.tt_shard_hits.assign(tt_after.stripe_hits.size(), 0);
-    for (std::size_t i = 0; i < tt_after.stripe_hits.size(); ++i) {
+    result.stats.tt_shard_hits.assign(TranspositionTable::kStripes, 0);
+    for (std::size_t i = 0; i < TranspositionTable::kStripes; ++i) {
       result.stats.tt_shard_hits[i] =
-          tt_after.stripe_hits[i] -
-          (i < tt_before.stripe_hits.size() ? tt_before.stripe_hits[i] : 0);
+          tt_after.stripe_hits[i] - tt_before.stripe_hits[i];
     }
   }
   result.stats.elapsed = wall_since(wall_start);  // wall clock, not CPU sum

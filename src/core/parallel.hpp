@@ -39,7 +39,6 @@
 #include <cstdint>
 
 #include "core/options.hpp"
-#include "core/transposition.hpp"
 #include "rev/pprm.hpp"
 
 namespace rmrls {
@@ -74,16 +73,14 @@ class SharedBound {
   std::atomic<int> best_{-1};
 };
 
-/// Everything the workers of one parallel search pass share. The
-/// transposition table is borrowed, never owned: the pass either inherits
-/// the driver's pass-spanning table (SynthesisOptions::tt) or the engine
-/// function stack-allocates one for the pass.
+/// What the workers of one parallel search pass share besides the
+/// driver's tables, which they reach through SynthesisOptions::tt and
+/// SynthesisOptions::history.
 struct SharedSearchContext {
-  SharedSearchContext(TranspositionTable* tt_in, std::uint64_t node_limit_in)
-      : tt(tt_in), node_limit(node_limit_in) {}
+  explicit SharedSearchContext(std::uint64_t node_limit_in)
+      : node_limit(node_limit_in) {}
 
   SharedBound bound;
-  TranspositionTable* tt = nullptr;
   /// Global node budget (0 = unlimited): every worker pop draws one token.
   std::atomic<std::uint64_t> nodes_spent{0};
   std::uint64_t node_limit = 0;

@@ -8,9 +8,7 @@
 
 #include "baselines/greedy_pprm.hpp"
 #include "baselines/transformation_based.hpp"
-#include "core/history.hpp"
 #include "core/synthesizer.hpp"
-#include "core/transposition.hpp"
 #include "obs/telemetry.hpp"
 #include "rev/equivalence.hpp"
 #include "rev/pprm_transform.hpp"
@@ -131,25 +129,12 @@ ResilientResult resilient_impl(const Pprm& spec, const TruthTable* table,
   };
 
   // Stage 1: the primary best-first search, on its share of the deadline.
-  // The cascade owns the pass-spanning search state so that one --tt-mb
-  // memory budget and one learned history cover every iterative-deepening
-  // rung and refinement rerun synthesize() schedules inside this stage
-  // (each rung gets its own slice of the stage's node/time budget; see
-  // synthesizer.cpp).
+  // synthesize() builds the pass-spanning transposition and history
+  // tables, so one --tt-mb memory budget and one learned history cover
+  // every iterative-deepening rung and refinement rerun of this stage.
   {
     SynthesisOptions sopts = options.search;
     sopts.cancel_token = token;
-    std::unique_ptr<TranspositionTable> stage_tt;
-    if (sopts.use_transposition_table && sopts.tt == nullptr) {
-      stage_tt = std::make_unique<TranspositionTable>(
-          sopts.tt_mb, sopts.tt_shards, sopts.tt_replacement);
-      sopts.tt = stage_tt.get();
-    }
-    std::unique_ptr<HistoryTable> stage_history;
-    if (sopts.use_history && sopts.history == nullptr) {
-      stage_history = std::make_unique<HistoryTable>();
-      sopts.history = stage_history.get();
-    }
     if (timed) {
       const auto share = std::chrono::milliseconds(std::max<std::int64_t>(
           1, static_cast<std::int64_t>(

@@ -17,27 +17,17 @@ using Clock = std::chrono::steady_clock;
 /// preference.
 constexpr double kJitterAmplitude = 0.03;
 
+/// Weight of the normalized history bonus added to eq. (4). Small by
+/// design: history breaks ties and nudges, it never overrides a clear
+/// eq.-4 preference.
+constexpr double kHistoryWeight = 0.10;
+
 /// History payout for a child that pushes the run's fewest-remaining-terms
 /// frontier (search.hpp best_terms_). Small next to solution-path payouts
 /// (256 / depth per gate) so real solutions still dominate the ordering —
 /// progress rewards only have to break the cold start when no solution
 /// exists yet.
 constexpr std::uint32_t kProgressReward = 4;
-}
-
-template <class Rep>
-BasicSearch<Rep>::BasicSearch(Rep start, SynthesisOptions options)
-    : start_(std::move(start)),
-      options_(options),
-      num_vars_(start_.num_vars()),
-      initial_terms_(start_.term_count()),
-      cancel_(options.cancel_token),
-      sink_(options.trace_sink),
-      profile_(options.phase_profile) {
-  best_terms_ = initial_terms_;
-  init_tt();
-  init_history();
-  init_telemetry();
 }
 
 template <class Rep>
@@ -50,39 +40,13 @@ BasicSearch<Rep>::BasicSearch(Rep start, SynthesisOptions options,
       initial_terms_(start_.term_count()),
       shared_(shared),
       seeds_(std::move(seeds)),
+      tt_(options.tt),
+      history_(options.history),
       cancel_(options.cancel_token),
       sink_(options.trace_sink),
       profile_(options.phase_profile) {
   best_terms_ = initial_terms_;
-  init_tt();
-  init_history();
   init_telemetry();
-}
-
-template <class Rep>
-void BasicSearch<Rep>::init_tt() {
-  if (!options_.use_transposition_table) return;
-  if (shared_ != nullptr) {
-    tt_ = shared_->tt;  // one table per parallel pass, borrowed
-    return;
-  }
-  if (options_.tt != nullptr) {
-    tt_ = options_.tt;  // the driver's pass-spanning table
-    return;
-  }
-  owned_tt_ = std::make_unique<TranspositionTable>(
-      options_.tt_mb, options_.tt_shards, options_.tt_replacement);
-  tt_ = owned_tt_.get();
-}
-
-template <class Rep>
-void BasicSearch<Rep>::init_history() {
-  if (!options_.use_history) return;
-  history_ = options_.history;
-  if (history_ == nullptr) {
-    owned_history_ = std::make_unique<HistoryTable>();
-    history_ = owned_history_.get();
-  }
 }
 
 template <class Rep>
@@ -108,9 +72,10 @@ void BasicSearch<Rep>::sample_telemetry() {
   // way.
   tele_queue_->set(static_cast<std::int64_t>(heap_.size()));
   if (tt_ != nullptr) {
-    tele_tt_->set(static_cast<std::int64_t>(tt_->entry_count()));
-    tele_tt_hits_->set(static_cast<std::int64_t>(tt_->total_hits()));
-    tele_tt_evictions_->set(static_cast<std::int64_t>(tt_->evictions()));
+    const TranspositionTable::Snapshot tt = tt_->snapshot();
+    tele_tt_->set(static_cast<std::int64_t>(tt.entries));
+    tele_tt_hits_->set(static_cast<std::int64_t>(tt.hits));
+    tele_tt_evictions_->set(static_cast<std::int64_t>(tt.evictions));
     tele_tt_generation_->set(static_cast<std::int64_t>(tt_->generation()));
   }
   tele_history_hits_->set(static_cast<std::int64_t>(stats_.history_hits));
@@ -168,7 +133,7 @@ double BasicSearch<Rep>::priority_of(int depth, int elim_stage, int elim_total,
     const double bonus = history_->bonus(target, factor);
     if (bonus > 0.0) {
       ++stats_.history_hits;
-      p += options_.history_weight * bonus;
+      p += kHistoryWeight * bonus;
     }
   }
   if (options_.order_jitter != 0) {
@@ -533,10 +498,7 @@ SynthesisResult BasicSearch<Rep>::run() {
   // (possibly pass-spanning) table may already hold counters from earlier
   // passes. Lazy-SMP workers skip this — the parallel engine accounts the
   // whole pass once (parallel.cpp).
-  if (tt_ != nullptr && shared_ == nullptr) {
-    tt_inserts_base_ = tt_->inserts();
-    tt_evictions_base_ = tt_->evictions();
-  }
+  if (tt_ != nullptr && shared_ == nullptr) tt_before_ = tt_->snapshot();
 
   {
     TraceEvent e;
@@ -662,8 +624,9 @@ SynthesisResult BasicSearch<Rep>::run() {
       Clock::now() - run_start_);
   stats_.cancelled = termination_ == TerminationReason::kCancelled;
   if (tt_ != nullptr && shared_ == nullptr) {
-    stats_.tt_inserts = tt_->inserts() - tt_inserts_base_;
-    stats_.tt_evictions = tt_->evictions() - tt_evictions_base_;
+    const TranspositionTable::Snapshot tt_after = tt_->snapshot();
+    stats_.tt_inserts = tt_after.inserts - tt_before_.inserts;
+    stats_.tt_evictions = tt_after.evictions - tt_before_.evictions;
     stats_.tt_generation = tt_->generation();
   }
   result.stats = stats_;

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/cancel.hpp"
@@ -92,17 +91,16 @@ using RootExpansion = BasicRootExpansion<Pprm>;
 template <class Rep>
 class BasicSearch {
  public:
-  BasicSearch(Rep start, SynthesisOptions options);
-
-  /// Worker of the parallel engine: adopts pre-expanded first-level
-  /// subtrees instead of expanding the root itself, and coordinates with
-  /// its peers through `shared` (best-depth bound, node budget, sharded
-  /// transposition table, stop flag). `seeds` must be sorted by
-  /// descending priority. With `shared == nullptr` behaves sequentially
-  /// over the given subtrees.
+  /// A search from the root of `start`, or, given `seeds`, a worker of
+  /// the parallel engine: it adopts pre-expanded first-level subtrees
+  /// instead of expanding the root itself, and coordinates with its peers
+  /// through `shared` (best-depth bound, node budget, stop flag) and the
+  /// tables `options` points at. `seeds` must be sorted by descending
+  /// priority. With `shared == nullptr` behaves sequentially over the
+  /// given subtrees.
   BasicSearch(Rep start, SynthesisOptions options,
-              std::vector<BasicRootSeed<Rep>> seeds,
-              detail::SharedSearchContext* shared);
+              std::vector<BasicRootSeed<Rep>> seeds = {},
+              detail::SharedSearchContext* shared = nullptr);
 
   /// Expands only the root and harvests the surviving first-level
   /// subtrees, sorted by descending priority (phase 1 of the parallel
@@ -173,7 +171,7 @@ class BasicSearch {
   void restart();
 
   /// Eq. (4) plus the engineering layers on top: the normalized history
-  /// bonus (options_.history_weight, counted in stats_.history_hits) and
+  /// bonus (kHistoryWeight, counted in stats_.history_hits) and
   /// the deterministic lazy-SMP jitter (options_.order_jitter). Non-const
   /// only for the history-hit counter.
   [[nodiscard]] double priority_of(int depth, int elim_stage, int elim_total,
@@ -217,26 +215,16 @@ class BasicSearch {
   /// starts from (the history table spans driver passes).
   int best_terms_ = 0;
 
-  /// Transposition table (core/transposition.hpp): bounded bucketized
-  /// {hash, depth, generation} entries. Resolution order (init_tt): the
-  /// shared context's table in worker mode, the caller's pass-spanning
-  /// table (SynthesisOptions::tt), else a table this search owns. Null
-  /// when use_transposition_table is off.
+  /// The driver's pass-spanning tables (SynthesisOptions::tt and
+  /// ::history): the bounded transposition table of
+  /// core/transposition.hpp and the history heuristic of
+  /// core/history.hpp. Null when the feature is off.
   TranspositionTable* tt_ = nullptr;
-  std::unique_ptr<TranspositionTable> owned_tt_;
-  /// Cumulative table counters at run() start; sequential runs report the
-  /// delta in stats_ (workers leave it to the parallel engine, which
-  /// accounts the whole pass once).
-  std::uint64_t tt_inserts_base_ = 0;
-  std::uint64_t tt_evictions_base_ = 0;
-
-  /// History heuristic (core/history.hpp): shared across passes when the
-  /// driver installs SynthesisOptions::history, else owned (learning
-  /// within this run only). Null when use_history is off.
   HistoryTable* history_ = nullptr;
-  std::unique_ptr<HistoryTable> owned_history_;
-  void init_tt();
-  void init_history();
+  /// Table counters at run() start; sequential runs report the delta in
+  /// stats_ (workers leave it to the parallel engine, which accounts the
+  /// whole pass once).
+  TranspositionTable::Snapshot tt_before_;
   /// Credits every gate on a newly recorded solution path (the history
   /// heuristic's learning signal).
   void reward_solution_path(std::int32_t parent, const Gate& gate,

@@ -81,21 +81,20 @@ SynthesisResult synthesize(const Pprm& spec, const SynthesisOptions& options) {
   // Pass-spanning search state (the chess-engine loop, docs/parallelism.md):
   // one bounded transposition table and one history table serve every pass
   // of this call — the iterative-deepening ladder, the broad-scope retry
-  // and the refinement reruns. next_pass() bumps the table generation (old
+  // and the refinement reruns. This is the only place either table is
+  // built; the engines use what `base` points at, and a null pointer
+  // turns the feature off. next_pass() bumps the table generation (old
   // entries stop pruning and become preferred eviction victims) and decays
   // the history scores between passes.
+  std::unique_ptr<TranspositionTable> tt;
+  if (options.use_transposition_table) {
+    tt = std::make_unique<TranspositionTable>(options.tt_mb);
+  }
+  std::unique_ptr<HistoryTable> history;
+  if (options.use_history) history = std::make_unique<HistoryTable>();
   SynthesisOptions base = options;
-  std::unique_ptr<TranspositionTable> owned_tt;
-  if (base.use_transposition_table && base.tt == nullptr) {
-    owned_tt = std::make_unique<TranspositionTable>(
-        base.tt_mb, base.tt_shards, base.tt_replacement);
-    base.tt = owned_tt.get();
-  }
-  std::unique_ptr<HistoryTable> owned_history;
-  if (base.use_history && base.history == nullptr) {
-    owned_history = std::make_unique<HistoryTable>();
-    base.history = owned_history.get();
-  }
+  base.tt = tt.get();
+  base.history = history.get();
   const auto next_pass = [&base]() {
     if (base.tt != nullptr) base.tt->new_generation();
     if (base.history != nullptr) base.history->decay();

@@ -23,28 +23,23 @@ std::size_t round_up_pow2(std::size_t n) {
 
 }  // namespace
 
-TranspositionTable::TranspositionTable(int mb, int stripes,
-                                       TTReplacement policy)
-    : policy_(policy) {
+TranspositionTable::TranspositionTable(int mb) {
   const std::size_t budget = static_cast<std::size_t>(mb < 1 ? 1 : mb) << 20;
   ceiling_ = round_down_pow2(budget / sizeof(Bucket));
-  init(std::min(ceiling_, kStartBytes / sizeof(Bucket)), stripes);
+  init(std::min(ceiling_, kStartBytes / sizeof(Bucket)));
 }
 
-TranspositionTable::TranspositionTable(const Config& config)
-    : policy_(config.policy) {
+TranspositionTable::TranspositionTable(const Config& config) {
   ceiling_ = round_up_pow2(config.buckets == 0 ? 1 : config.buckets);
-  init(ceiling_, config.stripes);
+  init(ceiling_);
 }
 
-void TranspositionTable::init(std::size_t buckets, int stripes) {
+void TranspositionTable::init(std::size_t buckets) {
   table_.reset(static_cast<Bucket*>(std::calloc(buckets, sizeof(Bucket))));
   if (!table_) throw std::bad_alloc();
   buckets_ = buckets;
   allocated_ = buckets;
-  stripe_mask_ = buckets - 1;
-  num_stripes_ = static_cast<std::size_t>(stripes < 1 ? 1 : stripes);
-  stripes_ = std::make_unique<Stripe[]>(num_stripes_);
+  stripe_mask_ = std::min(buckets, kStripes) - 1;
 }
 
 bool TranspositionTable::check_and_insert(std::uint64_t hash,
@@ -52,11 +47,10 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
                                           std::uint8_t owner,
                                           bool own_only) {
   // Remix before reducing: Pprm::hash()'s low bits also drive other
-  // consumers' bucketing. The top two remix bits pick the kAlways victim
-  // slot so that policy does not always clobber slot 0.
+  // consumers' bucketing.
   const std::uint64_t mix = splitmix64(hash);
   const std::uint8_t gen = generation_.load(std::memory_order_relaxed);
-  Stripe& stripe = stripes_[stripe_of(mix)];
+  Stripe& stripe = stripe_of(mix);
   std::unique_lock<std::mutex> lock(stripe.m);
   const std::size_t size = buckets_;
   Entry* entries = table_[static_cast<std::size_t>(mix) & (size - 1)].entries;
@@ -114,35 +108,21 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
 
   // Bucket full. A table built at the ceiling could still have room, so
   // below the ceiling grow and look again; only a table at its ceiling
-  // evicts, picking a victim by policy.
+  // evicts: the entry from the oldest generation, the deepest among
+  // equals. The age is wraparound-safe: how many generations ago the
+  // entry was written.
   if (size < ceiling_) {
     lock.unlock();
     grow(size);
     return check_and_insert(hash, depth, owner, own_only);
   }
   Entry* victim = &entries[0];
-  switch (policy_) {
-    case TTReplacement::kAlways:
-      victim = &entries[static_cast<std::size_t>(mix >> 62)];
-      break;
-    case TTReplacement::kDepthPreferred:
-      for (int i = 1; i < kBucketEntries; ++i) {
-        if (entries[i].depth > victim->depth) victim = &entries[i];
-      }
-      break;
-    case TTReplacement::kAging:
-      for (int i = 1; i < kBucketEntries; ++i) {
-        // Wraparound-safe age: how many generations ago the entry was
-        // written. Oldest first, deepest among equals.
-        const std::uint8_t age_v = static_cast<std::uint8_t>(gen - victim->gen);
-        const std::uint8_t age_i =
-            static_cast<std::uint8_t>(gen - entries[i].gen);
-        if (age_i > age_v ||
-            (age_i == age_v && entries[i].depth > victim->depth)) {
-          victim = &entries[i];
-        }
-      }
-      break;
+  for (int i = 1; i < kBucketEntries; ++i) {
+    const auto age_v = static_cast<std::uint8_t>(gen - victim->gen);
+    const auto age_i = static_cast<std::uint8_t>(gen - entries[i].gen);
+    if (age_i > age_v || (age_i == age_v && entries[i].depth > victim->depth)) {
+      victim = &entries[i];
+    }
   }
   victim->hash = hash;
   victim->depth = depth;
@@ -155,10 +135,9 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
 
 void TranspositionTable::grow(std::size_t seen) {
   // Index order; a lookup holds at most one stripe, so no cycle can form.
-  std::vector<std::unique_lock<std::mutex>> held;
-  held.reserve(num_stripes_);
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    held.emplace_back(stripes_[i].m);
+  std::array<std::unique_lock<std::mutex>, kStripes> held;
+  for (std::size_t i = 0; i < kStripes; ++i) {
+    held[i] = std::unique_lock<std::mutex>(stripes_[i].m);
   }
   const std::size_t old = buckets_;
   // A peer may have grown the table first, or growth may have stopped.
@@ -226,67 +205,16 @@ std::uint8_t TranspositionTable::generation() const {
 
 TranspositionTable::Snapshot TranspositionTable::snapshot() const {
   Snapshot s;
-  s.stripe_hits.reserve(num_stripes_);
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
+  for (std::size_t i = 0; i < kStripes; ++i) {
     const Stripe& stripe = stripes_[i];
     const std::lock_guard<std::mutex> lock(stripe.m);
     s.hits += stripe.hits;
     s.inserts += stripe.inserts;
     s.evictions += stripe.evictions;
-    s.stripe_hits.push_back(stripe.hits);
+    s.entries += stripe.occupied;
+    s.stripe_hits[i] = stripe.hits;
   }
   return s;
-}
-
-std::vector<std::uint64_t> TranspositionTable::hit_counts() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(num_stripes_);
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    const Stripe& stripe = stripes_[i];
-    const std::lock_guard<std::mutex> lock(stripe.m);
-    out.push_back(stripe.hits);
-  }
-  return out;
-}
-
-std::uint64_t TranspositionTable::total_hits() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    const Stripe& stripe = stripes_[i];
-    const std::lock_guard<std::mutex> lock(stripe.m);
-    total += stripe.hits;
-  }
-  return total;
-}
-
-std::uint64_t TranspositionTable::inserts() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    const Stripe& stripe = stripes_[i];
-    const std::lock_guard<std::mutex> lock(stripe.m);
-    total += stripe.inserts;
-  }
-  return total;
-}
-
-std::uint64_t TranspositionTable::evictions() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    const Stripe& stripe = stripes_[i];
-    const std::lock_guard<std::mutex> lock(stripe.m);
-    total += stripe.evictions;
-  }
-  return total;
-}
-
-std::uint64_t TranspositionTable::entry_count() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < num_stripes_; ++i) {
-    const Stripe& stripe = stripes_[i];
-    const std::lock_guard<std::mutex> lock(stripe.m);
-    total += stripe.occupied;
-  }
-  return total;
 }
 
 }  // namespace rmrls

@@ -1,7 +1,6 @@
 /// \file transposition.hpp
 /// \brief Bounded-memory transposition table that grows on demand up to its
-///        budget, with depth-preferred + aging replacement
-///        (docs/parallelism.md).
+///        budget and then evicts by generation age (docs/parallelism.md).
 ///
 /// Replaces the grow-only seen-tables (the sequential unordered_map and the
 /// parallel ShardedSeenTable) with the bucketized layout mature game-tree
@@ -9,19 +8,12 @@
 /// four 16-byte entries `{hash, depth, generation, owner}` each, bounded by
 /// a megabyte budget (`SynthesisOptions::tt_mb`, CLI `--tt-mb`). It starts
 /// at kStartBytes and doubles whenever an insert meets a full bucket; only
-/// once it has reached the budget does a full bucket evict by policy
-/// instead of growing:
-///
-///   * kAlways          — replace a fixed slot unconditionally (baseline).
-///   * kDepthPreferred  — evict the *deepest* entry. RMRLS depth semantics
-///                        invert chess's: an entry at depth d prunes every
-///                        revisit at depth' >= d, so the shallowest entries
-///                        are the most valuable and the deepest the most
-///                        expendable.
-///   * kAging (default) — evict the entry from the oldest generation
-///                        first (depth-preferred among equals), so stale
-///                        passes decay out of the table instead of pinning
-///                        it.
+/// once it has reached the budget does a full bucket evict instead of
+/// growing. The victim is the entry from the oldest generation, the
+/// deepest among equals: RMRLS depth semantics invert chess's (an entry
+/// at depth d prunes every revisit at depth' >= d), so within one pass the
+/// shallowest entries are the most valuable, and stale passes decay out of
+/// the table instead of pinning it.
 ///
 /// Growth never changes an answer. A doubling splits every bucket stably
 /// by the next index bit (entries keep their slot order), so each bucket
@@ -46,16 +38,13 @@
 /// re-reached at the same or a deeper depth prunes, a shallower
 /// rediscovery overwrites the stored depth and must be re-expanded.
 ///
-/// Thread safety: striped mutexes, one stripe per
-/// SynthesisOptions::tt_shards. A bucket's stripe comes from the hash bits
-/// under the starting size's mask, which name the same stripe at every
-/// table size, so a lookup picks its stripe before it reads the size (and
-/// a budget-built table has at most kStartBytes / 64 distinct stripes).
-/// Growth takes every stripe lock in index order; a lookup holds only one
-/// at a time, so this cannot deadlock. Per-stripe hit counters keep the
-/// SynthesisStats::tt_shard_hits contract of the table this one replaces;
+/// Thread safety: kStripes striped mutexes. A bucket's stripe comes from
+/// the low hash bits that index a bucket at every table size, so a lookup
+/// picks its stripe before it reads the size. Growth takes every stripe
+/// lock in index order; a lookup holds only one at a time, so this cannot
+/// deadlock. Per-stripe hit counters feed SynthesisStats::tt_shard_hits;
 /// inserts/evictions/occupancy feed the `tt_inserts` / `tt_evictions`
-/// metrics and telemetry gauges.
+/// metrics and telemetry gauges, all read through snapshot().
 ///
 /// Owner tags: every entry carries the byte its writer passed as `owner`.
 /// A caller passing `own_only = true` prunes only on entries bearing its
@@ -68,28 +57,15 @@
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 namespace rmrls {
-
-/// Replacement policy applied when a bucket is full (ablated in
-/// bench/ablation_heuristics).
-enum class TTReplacement : std::uint8_t { kAlways, kDepthPreferred, kAging };
-
-[[nodiscard]] constexpr const char* to_string(TTReplacement policy) {
-  switch (policy) {
-    case TTReplacement::kAlways: return "always";
-    case TTReplacement::kDepthPreferred: return "depth_preferred";
-    case TTReplacement::kAging: return "aging";
-  }
-  return "unknown";
-}
 
 class TranspositionTable {
  public:
@@ -98,13 +74,12 @@ class TranspositionTable {
   /// at its full size and never grows.
   struct Config {
     std::size_t buckets = 1;
-    int stripes = 1;
-    TTReplacement policy = TTReplacement::kAging;
   };
 
   static constexpr int kBucketEntries = 4;
-  /// Size a budget-built table starts at (its bucket count bounds the
-  /// number of distinct stripes).
+  /// Lock stripes; SynthesisStats::tt_shard_hits has one entry per stripe.
+  static constexpr std::size_t kStripes = 16;
+  /// Size a budget-built table starts at.
   static constexpr std::size_t kStartBytes = std::size_t{4} << 10;
   /// Largest size kept in heap memory; growing past it allocates the
   /// whole budget.
@@ -113,10 +88,9 @@ class TranspositionTable {
   /// Budget-based sizing: the ceiling is the largest power-of-two bucket
   /// count whose footprint fits in `mb` megabytes (minimum one bucket);
   /// the table starts at kStartBytes (or the ceiling, if smaller) and
-  /// grows on demand. `stripes` mutexes guard the array; per-stripe hit
-  /// counts are reported in the same order. Throws std::bad_alloc if the
-  /// starting allocation is refused.
-  TranspositionTable(int mb, int stripes, TTReplacement policy);
+  /// grows on demand. Throws std::bad_alloc if the starting allocation is
+  /// refused.
+  explicit TranspositionTable(int mb);
   explicit TranspositionTable(const Config& config);
 
   TranspositionTable(const TranspositionTable&) = delete;
@@ -134,8 +108,8 @@ class TranspositionTable {
                         std::uint8_t owner = 0, bool own_only = false);
 
   /// Starts a new search pass: entries of older generations stop pruning
-  /// (they refresh on first touch) and become preferred eviction victims
-  /// under kAging. The 8-bit counter wraps; after exactly 256 bumps a
+  /// (they refresh on first touch) and become the preferred eviction
+  /// victims. The 8-bit counter wraps; after exactly 256 bumps a
   /// surviving entry aliases the current generation again, which costs at
   /// most one wrongly-pruned revisit per entry — bounded staleness, the
   /// standard aging trade.
@@ -148,20 +122,15 @@ class TranspositionTable {
     std::uint64_t hits = 0;
     std::uint64_t inserts = 0;
     std::uint64_t evictions = 0;
-    std::vector<std::uint64_t> stripe_hits;
+    /// Occupied entries (monotone until full; evictions replace in place).
+    std::uint64_t entries = 0;
+    /// Duplicate hits per stripe (SynthesisStats::tt_shard_hits order).
+    std::array<std::uint64_t, kStripes> stripe_hits{};
   };
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Duplicate hits per stripe (SynthesisStats::tt_shard_hits order).
-  [[nodiscard]] std::vector<std::uint64_t> hit_counts() const;
-  [[nodiscard]] std::uint64_t total_hits() const;
-  [[nodiscard]] std::uint64_t inserts() const;
-  [[nodiscard]] std::uint64_t evictions() const;
-  /// Occupied entries (monotone until full; evictions replace in place).
-  [[nodiscard]] std::uint64_t entry_count() const;
-
   /// Hard capacity in entries, the budget's (lower only if the budget
-  /// allocation was refused); entry_count() can never exceed it.
+  /// allocation was refused); Snapshot::entries can never exceed it.
   [[nodiscard]] std::uint64_t capacity() const;
   /// Bytes of the bucket array at its current, grown size.
   [[nodiscard]] std::size_t bytes() const;
@@ -188,17 +157,16 @@ class TranspositionTable {
     std::uint64_t occupied = 0;
   };
 
-  void init(std::size_t buckets, int stripes);
+  void init(std::size_t buckets);
   /// Takes every stripe lock and doubles the table, unless a peer already
   /// grew it past `seen` buckets or it is at its ceiling. If the memory
   /// is refused, lowers the ceiling to the current size instead.
   void grow(std::size_t seen);
 
-  [[nodiscard]] std::size_t stripe_of(std::uint64_t mix) const {
-    return (static_cast<std::size_t>(mix) & stripe_mask_) % num_stripes_;
+  [[nodiscard]] Stripe& stripe_of(std::uint64_t mix) {
+    return stripes_[static_cast<std::size_t>(mix) & stripe_mask_];
   }
 
-  TTReplacement policy_ = TTReplacement::kAging;
   struct FreeDeleter {
     void operator()(Bucket* p) const { std::free(p); }
   };
@@ -208,10 +176,10 @@ class TranspositionTable {
   std::size_t buckets_ = 0;    ///< current size, a power of two
   std::size_t allocated_ = 0;  ///< buckets table_ has room for
   std::size_t ceiling_ = 0;    ///< the budget's buckets; growth stops here
-  std::size_t stripe_mask_ = 0;  ///< starting size - 1; fixed
-  /// Plain array, not a vector: Stripe holds a mutex and is immovable.
-  std::size_t num_stripes_ = 1;
-  std::unique_ptr<Stripe[]> stripes_;
+  /// min(starting size, kStripes) - 1; fixed. Those low hash bits are part
+  /// of the bucket index at every size, so a bucket keeps its stripe.
+  std::size_t stripe_mask_ = 0;
+  std::array<Stripe, kStripes> stripes_;
   /// Bumped between passes only (never concurrently with lookups from the
   /// bumping thread's own pass); relaxed everywhere.
   std::atomic<std::uint8_t> generation_{0};

@@ -1,8 +1,8 @@
 // Tests for the parallel search engine (core/parallel.hpp): result
-// validity and quality vs the sequential engine, worker/shard metrics,
-// the shared node budget, and a contention stress test for the sharded
-// transposition table. Runs under TSan via the `tsan` CMake preset
-// (ctest -L concurrency).
+// validity and quality vs the sequential engine, worker/stripe metrics,
+// the shared node budget, a contention stress test for the shared
+// transposition table, and that a disabled table is never built. Runs
+// under TSan via the `tsan` CMake preset (ctest -L concurrency).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <random>
 
 #include "core/synthesizer.hpp"
+#include "core/transposition.hpp"
 #include "rev/pprm_transform.hpp"
 #include "rev/random.hpp"
 
@@ -81,14 +82,12 @@ TEST(Parallel, IdentityAndSingleGateEarlyOuts) {
 }
 
 TEST(Parallel, ReportsWorkersAndShardHits) {
-  SynthesisOptions o = quick(4);
-  o.tt_shards = 8;
   const TruthTable spec({1, 0, 7, 2, 3, 4, 5, 6});
-  const SynthesisResult r = synthesize(spec, o);
+  const SynthesisResult r = synthesize(spec, quick(4));
   ASSERT_TRUE(r.success);
   EXPECT_GE(r.stats.workers, 2u);  // never more workers than root seeds
   EXPECT_LE(r.stats.workers, 4u);
-  ASSERT_EQ(r.stats.tt_shard_hits.size(), 8u);
+  ASSERT_EQ(r.stats.tt_shard_hits.size(), TranspositionTable::kStripes);
   const std::uint64_t shard_sum =
       std::accumulate(r.stats.tt_shard_hits.begin(),
                       r.stats.tt_shard_hits.end(), std::uint64_t{0});
@@ -122,26 +121,6 @@ TEST(Parallel, StopAtFirstSolutionStopsAllWorkers) {
   }
 }
 
-// Contention stress for the sharded transposition table: many workers,
-// deliberately few shards (every check_and_insert collides on a lock),
-// on 4-variable functions whose state spaces overlap heavily across
-// subtrees. TSan (the `tsan` preset) turns any shard race into a failure.
-TEST(Parallel, ShardContentionStress) {
-  std::mt19937_64 rng(13);
-  for (const int shards : {1, 2}) {
-    SynthesisOptions o;
-    o.num_threads = 8;
-    o.allow_oversubscription = true;
-    o.tt_shards = shards;
-    o.max_nodes = 20000;
-    o.iterative_refinement = false;
-    const TruthTable spec = random_reversible_function(4, rng);
-    const SynthesisResult r = synthesize(spec, o);
-    if (r.success) EXPECT_TRUE(implements(r.circuit, spec));
-    ASSERT_EQ(r.stats.tt_shard_hits.size(), static_cast<std::size_t>(shards));
-  }
-}
-
 // Lazy SMP: every worker searches the full root with a diversified
 // ordering, and worker 0 always keeps the canonical (sequential) order.
 // At 8 threads the engine must therefore match or beat the sequential
@@ -160,7 +139,7 @@ TEST(Parallel, LazySmpMatchesSequentialQualityAtEightThreads) {
 }
 
 // Shared-TT stress under eviction pressure: a deliberately tiny table
-// (1 MiB, few stripes) forces all eight lazy-SMP workers through
+// (1 MiB) forces all eight lazy-SMP workers through
 // constant insert/evict/refresh traffic on the same buckets. TSan (the
 // `tsan` preset) turns any entry or counter race into a failure; the
 // stats invariants check the striped accounting under contention.
@@ -170,7 +149,6 @@ TEST(Parallel, SharedTinyTableStress) {
     SynthesisOptions o;
     o.num_threads = 8;
     o.allow_oversubscription = true;
-    o.tt_shards = 2;
     o.tt_mb = 1;
     o.max_nodes = 20000;
     o.iterative_refinement = false;
@@ -178,7 +156,29 @@ TEST(Parallel, SharedTinyTableStress) {
     const SynthesisResult r = synthesize(spec, o);
     if (r.success) EXPECT_TRUE(implements(r.circuit, spec));
     EXPECT_LE(r.stats.tt_evictions, r.stats.tt_inserts);
-    ASSERT_EQ(r.stats.tt_shard_hits.size(), 2u);
+    ASSERT_EQ(r.stats.tt_shard_hits.size(), TranspositionTable::kStripes);
+  }
+}
+
+// synthesize() is the only code that builds the search tables, and the
+// engines run without a table whose feature is off: no table traffic,
+// duplicate prune or stripe counter without the transposition table, and
+// no history bonus without the history table, sequentially and under
+// lazy SMP.
+TEST(Parallel, DisabledTablesAreNeverBuilt) {
+  const TruthTable spec({0, 7, 6, 9, 4, 11, 10, 13, 8, 15, 14, 1, 12, 3, 2, 5});
+  EXPECT_GT(synthesize(spec, quick(4)).stats.history_hits, 0u);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    SynthesisOptions o = quick(threads);
+    o.use_transposition_table = false;
+    const SynthesisResult r = synthesize(spec, o);
+    EXPECT_EQ(r.stats.tt_inserts, 0u);
+    EXPECT_EQ(r.stats.pruned_duplicate, 0u);
+    EXPECT_TRUE(r.stats.tt_shard_hits.empty());
+    o = quick(threads);
+    o.use_history = false;
+    EXPECT_EQ(synthesize(spec, o).stats.history_hits, 0u);
   }
 }
 

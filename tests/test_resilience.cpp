@@ -155,6 +155,29 @@ TEST(Resilient, PrimaryWinsWhenItCan) {
   EXPECT_TRUE(equivalent(rr.result.circuit, fig1_pprm()));
 }
 
+// Stage 1 is synthesize() under the cascade's cancel token and builds no
+// tables of its own, so when it wins, the cascade reports exactly the
+// circuit and the counters of a plain synthesize() call.
+TEST(Resilient, PrimaryStageMatchesSynthesize) {
+  const Pprm spec = pprm_of_truth_table(
+      TruthTable({0, 7, 6, 9, 4, 11, 10, 13, 8, 15, 14, 1, 12, 3, 2, 5}));
+  ResilienceOptions options;
+  options.search.max_nodes = 50000;
+  options.search.tt_mb = 1;
+  const SynthesisResult direct = synthesize(spec, options.search);
+  const ResilientResult rr = synthesize_resilient(spec, options);
+  ASSERT_TRUE(direct.success);
+  ASSERT_EQ(rr.engine, FallbackEngine::kBestFirst);
+  EXPECT_EQ(rr.result.circuit.to_string(), direct.circuit.to_string());
+  EXPECT_EQ(rr.result.stats.nodes_expanded, direct.stats.nodes_expanded);
+  EXPECT_EQ(rr.result.stats.tt_inserts, direct.stats.tt_inserts);
+  EXPECT_EQ(rr.result.stats.tt_generation, direct.stats.tt_generation);
+  EXPECT_EQ(rr.result.stats.history_hits, direct.stats.history_hits);
+  // Several passes shared both tables, so the comparison is not vacuous.
+  EXPECT_GT(direct.stats.tt_generation, 0u);
+  EXPECT_GT(direct.stats.history_hits, 0u);
+}
+
 TEST(Resilient, CascadesToGreedy) {
   // One node of search budget: best-first cannot find fig1's 3-gate
   // cascade, greedy can.

@@ -1,5 +1,5 @@
 // Tests for the bounded transposition table (core/transposition.hpp):
-// replacement-policy semantics on a single bucket, the depth rule the
+// aging-eviction semantics on a single bucket, the depth rule the
 // table inherits from the seen-map it replaced (including the
 // shallower-revisit-overwrites regression), generation aging and
 // rollover, bounded memory under sustained insert pressure, on-demand
@@ -23,13 +23,7 @@
 namespace rmrls {
 namespace {
 
-TranspositionTable::Config one_bucket(TTReplacement policy) {
-  TranspositionTable::Config c;
-  c.buckets = 1;
-  c.stripes = 1;
-  c.policy = policy;
-  return c;
-}
+const TranspositionTable::Config kOneBucket{1};
 
 // Hashes that land distinct values in the (single) bucket. Any values
 // work: with one bucket, every hash collides on the bucket and only the
@@ -37,14 +31,15 @@ TranspositionTable::Config one_bucket(TTReplacement policy) {
 constexpr std::uint64_t h(std::uint64_t i) { return 0x1000 + i; }
 
 TEST(TranspositionTable, FirstVisitInsertsRevisitPrunes) {
-  TranspositionTable tt(one_bucket(TTReplacement::kAging));
+  TranspositionTable tt(kOneBucket);
   EXPECT_FALSE(tt.check_and_insert(h(1), 5));
   EXPECT_TRUE(tt.check_and_insert(h(1), 5));   // same depth: prune
   EXPECT_TRUE(tt.check_and_insert(h(1), 9));   // deeper: prune
-  EXPECT_EQ(tt.total_hits(), 2u);
-  EXPECT_EQ(tt.inserts(), 1u);
-  EXPECT_EQ(tt.evictions(), 0u);
-  EXPECT_EQ(tt.entry_count(), 1u);
+  const TranspositionTable::Snapshot s = tt.snapshot();
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.inserts, 1u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.entries, 1u);
 }
 
 // Regression pin for the shallower-revisit rule: a state first reached at
@@ -53,15 +48,15 @@ TEST(TranspositionTable, FirstVisitInsertsRevisitPrunes) {
 // The rediscovery overwrites the stored depth, so depth-4 revisits (which
 // the old depth-5 entry would have let through) now prune.
 TEST(TranspositionTable, ShallowerRevisitOverwritesInsteadOfPruning) {
-  TranspositionTable tt(one_bucket(TTReplacement::kAging));
+  TranspositionTable tt(kOneBucket);
   EXPECT_FALSE(tt.check_and_insert(h(1), 5));
   EXPECT_TRUE(tt.check_and_insert(h(1), 7));   // deeper: redundant
   EXPECT_FALSE(tt.check_and_insert(h(1), 3));  // shallower: re-expand
   EXPECT_TRUE(tt.check_and_insert(h(1), 4));   // now 4 >= stored 3: prune
   EXPECT_TRUE(tt.check_and_insert(h(1), 3));
   // The overwrite is not an insert: the slot was already occupied.
-  EXPECT_EQ(tt.inserts(), 1u);
-  EXPECT_EQ(tt.entry_count(), 1u);
+  EXPECT_EQ(tt.snapshot().inserts, 1u);
+  EXPECT_EQ(tt.snapshot().entries, 1u);
 }
 
 // Owner-filtered pruning (lazy SMP's canonical-worker guarantee): an
@@ -70,7 +65,7 @@ TEST(TranspositionTable, ShallowerRevisitOverwritesInsteadOfPruning) {
 // is what keeps worker 0 exactly the sequential engine even when helpers
 // reach shared states first (core/parallel.cpp kCanonicalOwner).
 TEST(TranspositionTable, OwnOnlyCallerIgnoresForeignClaims) {
-  TranspositionTable tt(one_bucket(TTReplacement::kAging));
+  TranspositionTable tt(kOneBucket);
   constexpr std::uint8_t kHelper = 0;
   constexpr std::uint8_t kCanonical = 1;
   // A helper claims the state first.
@@ -83,34 +78,37 @@ TEST(TranspositionTable, OwnOnlyCallerIgnoresForeignClaims) {
   // dedup it exactly like the sequential table would.
   EXPECT_TRUE(tt.check_and_insert(h(1), 4, kCanonical, true));
   // A takeover reuses the slot: one insert, one entry.
-  EXPECT_EQ(tt.inserts(), 1u);
-  EXPECT_EQ(tt.entry_count(), 1u);
+  EXPECT_EQ(tt.snapshot().inserts, 1u);
+  EXPECT_EQ(tt.snapshot().entries, 1u);
 }
 
-TEST(TranspositionTable, AlwaysPolicyEvictsOnFullBucket) {
-  TranspositionTable tt(one_bucket(TTReplacement::kAlways));
+// Full-bucket accounting: every write is an insert, every write into a
+// full bucket also an eviction, and occupancy stops at the bucket size.
+TEST(TranspositionTable, FullBucketEvictsOnePerInsert) {
+  TranspositionTable tt(kOneBucket);
   for (std::uint64_t i = 0; i < 16; ++i) {
     EXPECT_FALSE(tt.check_and_insert(h(i), 2));
   }
-  EXPECT_EQ(tt.inserts(), 16u);
-  EXPECT_EQ(tt.evictions(), 16u - TranspositionTable::kBucketEntries);
-  EXPECT_EQ(tt.entry_count(),
+  const TranspositionTable::Snapshot s = tt.snapshot();
+  EXPECT_EQ(s.inserts, 16u);
+  EXPECT_EQ(s.evictions, 16u - TranspositionTable::kBucketEntries);
+  EXPECT_EQ(s.entries,
             static_cast<std::uint64_t>(TranspositionTable::kBucketEntries));
   EXPECT_EQ(tt.capacity(),
             static_cast<std::uint64_t>(TranspositionTable::kBucketEntries));
 }
 
-// Depth-preferred eviction keeps the shallow entries: in RMRLS an entry
-// at depth d prunes every deeper revisit, so shallow entries have the
-// widest pruning reach and the deepest entry is the right victim.
-TEST(TranspositionTable, DepthPreferredEvictsDeepestEntry) {
-  TranspositionTable tt(one_bucket(TTReplacement::kDepthPreferred));
+// Within one generation eviction keeps the shallow entries: in RMRLS an
+// entry at depth d prunes every deeper revisit, so shallow entries have
+// the widest pruning reach and the deepest entry is the right victim.
+TEST(TranspositionTable, SameGenerationEvictsDeepestEntry) {
+  TranspositionTable tt(kOneBucket);
   ASSERT_FALSE(tt.check_and_insert(h(1), 1));
   ASSERT_FALSE(tt.check_and_insert(h(2), 9));  // the deepest: the victim
   ASSERT_FALSE(tt.check_and_insert(h(3), 2));
   ASSERT_FALSE(tt.check_and_insert(h(4), 3));
   ASSERT_FALSE(tt.check_and_insert(h(5), 4));  // bucket full: evicts h(2)
-  EXPECT_EQ(tt.evictions(), 1u);
+  EXPECT_EQ(tt.snapshot().evictions, 1u);
   // The survivors still prune; the evicted deep entry is forgotten.
   EXPECT_TRUE(tt.check_and_insert(h(1), 1));
   EXPECT_TRUE(tt.check_and_insert(h(3), 2));
@@ -118,8 +116,8 @@ TEST(TranspositionTable, DepthPreferredEvictsDeepestEntry) {
   EXPECT_FALSE(tt.check_and_insert(h(2), 9));  // reinserted (evicting again)
 }
 
-TEST(TranspositionTable, AgingPolicyEvictsOldestGenerationFirst) {
-  TranspositionTable tt(one_bucket(TTReplacement::kAging));
+TEST(TranspositionTable, EvictsOldestGenerationFirst) {
+  TranspositionTable tt(kOneBucket);
   ASSERT_FALSE(tt.check_and_insert(h(1), 1));  // gen 0
   tt.new_generation();
   ASSERT_FALSE(tt.check_and_insert(h(2), 9));  // gen 1
@@ -127,7 +125,7 @@ TEST(TranspositionTable, AgingPolicyEvictsOldestGenerationFirst) {
   ASSERT_FALSE(tt.check_and_insert(h(4), 9));  // gen 1
   ASSERT_FALSE(tt.check_and_insert(h(5), 2));  // full: evicts gen-0 h(1),
                                                // despite deeper gen-1 peers
-  EXPECT_EQ(tt.evictions(), 1u);
+  EXPECT_EQ(tt.snapshot().evictions, 1u);
   EXPECT_TRUE(tt.check_and_insert(h(2), 9));   // gen-1 entries survived
   EXPECT_TRUE(tt.check_and_insert(h(5), 2));
 }
@@ -137,7 +135,7 @@ TEST(TranspositionTable, AgingPolicyEvictsOldestGenerationFirst) {
 // generation. This is what makes one table shareable across the whole
 // iterative-deepening ladder and the refinement reruns.
 TEST(TranspositionTable, StaleGenerationRefreshesInsteadOfPruning) {
-  TranspositionTable tt(one_bucket(TTReplacement::kAging));
+  TranspositionTable tt(kOneBucket);
   ASSERT_FALSE(tt.check_and_insert(h(1), 2));
   ASSERT_TRUE(tt.check_and_insert(h(1), 2));
   tt.new_generation();
@@ -145,8 +143,8 @@ TEST(TranspositionTable, StaleGenerationRefreshesInsteadOfPruning) {
   EXPECT_FALSE(tt.check_and_insert(h(1), 6));  // stale: refresh, no prune
   EXPECT_TRUE(tt.check_and_insert(h(1), 6));   // current gen again: prune
   // The refresh reused the slot: no new insert, no eviction.
-  EXPECT_EQ(tt.inserts(), 1u);
-  EXPECT_EQ(tt.evictions(), 0u);
+  EXPECT_EQ(tt.snapshot().inserts, 1u);
+  EXPECT_EQ(tt.snapshot().evictions, 0u);
 }
 
 // The generation counter is 8-bit by design (it lives in every 16-byte
@@ -154,7 +152,7 @@ TEST(TranspositionTable, StaleGenerationRefreshesInsteadOfPruning) {
 // generation and may wrongly prune one revisit — the documented bounded
 // staleness trade. The counter itself must wrap cleanly.
 TEST(TranspositionTable, GenerationRollover) {
-  TranspositionTable tt(one_bucket(TTReplacement::kAging));
+  TranspositionTable tt(kOneBucket);
   ASSERT_FALSE(tt.check_and_insert(h(1), 4));
   for (int i = 0; i < 256; ++i) tt.new_generation();
   EXPECT_EQ(tt.generation(), 0u);  // wrapped back
@@ -171,7 +169,7 @@ TEST(TranspositionTable, GenerationRollover) {
 // 1 MiB table stay inside the budget. The grow-only seen-map this table
 // replaced would hold all 10^7 entries (~hundreds of MB).
 TEST(TranspositionTable, BoundedMemoryUnderSustainedInsertPressure) {
-  TranspositionTable tt(1, 4, TTReplacement::kAging);
+  TranspositionTable tt(1);
   const std::uint64_t capacity = tt.capacity();
   ASSERT_GT(capacity, 0u);
   ASSERT_LE(tt.bytes(), std::size_t{1} << 20);
@@ -180,18 +178,18 @@ TEST(TranspositionTable, BoundedMemoryUnderSustainedInsertPressure) {
     // splitmix64 over a counter: effectively unique hashes, all misses.
     tt.check_and_insert(splitmix64(i), 1 + static_cast<std::int32_t>(i % 7));
   }
-  EXPECT_LE(tt.entry_count(), capacity);
-  EXPECT_GT(tt.evictions(), 0u);
-  EXPECT_LE(tt.evictions(), tt.inserts());
-  EXPECT_LE(tt.inserts(), kInserts);
+  const TranspositionTable::Snapshot s = tt.snapshot();
+  EXPECT_LE(s.entries, capacity);
+  EXPECT_GT(s.evictions, 0u);
+  EXPECT_LE(s.evictions, s.inserts);
+  EXPECT_LE(s.inserts, kInserts);
   // Occupancy accounting: entries that were inserted but never evicted.
-  EXPECT_EQ(tt.entry_count(), tt.inserts() - tt.evictions());
+  EXPECT_EQ(s.entries, s.inserts - s.evictions);
 }
 
 TEST(TranspositionTable, SnapshotDeltasArePerStripeAndMonotone) {
-  TranspositionTable tt(1, 4, TTReplacement::kAging);
+  TranspositionTable tt(1);
   const TranspositionTable::Snapshot before = tt.snapshot();
-  ASSERT_EQ(before.stripe_hits.size(), 4u);
   for (std::uint64_t i = 0; i < 1000; ++i) {
     tt.check_and_insert(splitmix64(i), 3);
     tt.check_and_insert(splitmix64(i), 3);  // guaranteed revisit
@@ -202,13 +200,17 @@ TEST(TranspositionTable, SnapshotDeltasArePerStripeAndMonotone) {
   const std::uint64_t stripe_sum = std::accumulate(
       after.stripe_hits.begin(), after.stripe_hits.end(), std::uint64_t{0});
   EXPECT_EQ(stripe_sum, after.hits);
+  // 1000 splitmix64 hashes reach every one of the 16 stripes.
+  for (std::size_t i = 0; i < TranspositionTable::kStripes; ++i) {
+    EXPECT_GT(after.stripe_hits[i], before.stripe_hits[i]) << "stripe " << i;
+  }
 }
 
 // Budget sizing: the table must fit the requested megabytes and use a
 // power-of-two bucket count.
 TEST(TranspositionTable, BudgetSizingFitsAndIsPowerOfTwo) {
   for (const int mb : {1, 2, 8}) {
-    TranspositionTable tt(mb, 16, TTReplacement::kAging);
+    TranspositionTable tt(mb);
     EXPECT_LE(tt.bytes(), static_cast<std::size_t>(mb) << 20);
     const std::uint64_t buckets =
         tt.capacity() / TranspositionTable::kBucketEntries;
@@ -218,49 +220,42 @@ TEST(TranspositionTable, BudgetSizingFitsAndIsPowerOfTwo) {
 
 // On-demand growth must be invisible: a table that starts small, grows
 // to its ceiling and then evicts answers every call exactly like a table
-// built at that ceiling, under every policy. The stream mixes a hot set
+// built at that ceiling. The stream mixes a hot set
 // (repeats, shallower and deeper revisits) with a cold tail that forces
 // growth and then eviction, owner tags with own_only takeovers, and
 // generation bumps.
 TEST(TranspositionTable, GrownTableMatchesTableBuiltAtCeiling) {
-  for (const TTReplacement policy :
-       {TTReplacement::kAlways, TTReplacement::kDepthPreferred,
-        TTReplacement::kAging}) {
-    SCOPED_TRACE(to_string(policy));
-    TranspositionTable grown(1, 4, policy);
-    TranspositionTable::Config config;
-    config.buckets = static_cast<std::size_t>(
-        grown.capacity() / TranspositionTable::kBucketEntries);
-    config.stripes = 4;
-    config.policy = policy;
-    TranspositionTable built(config);
-    ASSERT_LT(grown.bytes(), built.bytes());
+  TranspositionTable grown(1);
+  TranspositionTable built(TranspositionTable::Config{static_cast<std::size_t>(
+      grown.capacity() / TranspositionTable::kBucketEntries)});
+  ASSERT_LT(grown.bytes(), built.bytes());
 
-    std::mt19937_64 rng(2024);
-    constexpr int kCalls = 400'000;
-    for (int call = 0; call < kCalls; ++call) {
-      if (rng() % 25'000 == 0) {
-        grown.new_generation();
-        built.new_generation();
-      }
-      const std::uint64_t key =
-          (rng() & 1) != 0 ? rng() % 2'000 : 2'000 + rng() % 300'000;
-      const std::uint64_t hash = key * 0x9E3779B97F4A7C15ULL + 1;
-      const auto depth = static_cast<std::int32_t>(1 + rng() % 12);
-      const auto owner = static_cast<std::uint8_t>(rng() % 3);
-      const bool own_only = rng() % 8 == 0;
-      ASSERT_EQ(grown.check_and_insert(hash, depth, owner, own_only),
-                built.check_and_insert(hash, depth, owner, own_only))
-          << "call " << call;
+  std::mt19937_64 rng(2024);
+  constexpr int kCalls = 400'000;
+  for (int call = 0; call < kCalls; ++call) {
+    if (rng() % 25'000 == 0) {
+      grown.new_generation();
+      built.new_generation();
     }
-    EXPECT_EQ(grown.bytes(), built.bytes());  // reached its ceiling
-    EXPECT_GT(built.evictions(), 0u);         // ...and evicted there
-    EXPECT_EQ(grown.total_hits(), built.total_hits());
-    EXPECT_EQ(grown.inserts(), built.inserts());
-    EXPECT_EQ(grown.evictions(), built.evictions());
-    EXPECT_EQ(grown.entry_count(), built.entry_count());
-    EXPECT_EQ(grown.hit_counts(), built.hit_counts());
+    const std::uint64_t key =
+        (rng() & 1) != 0 ? rng() % 2'000 : 2'000 + rng() % 300'000;
+    const std::uint64_t hash = key * 0x9E3779B97F4A7C15ULL + 1;
+    const auto depth = static_cast<std::int32_t>(1 + rng() % 12);
+    const auto owner = static_cast<std::uint8_t>(rng() % 3);
+    const bool own_only = rng() % 8 == 0;
+    ASSERT_EQ(grown.check_and_insert(hash, depth, owner, own_only),
+              built.check_and_insert(hash, depth, owner, own_only))
+        << "call " << call;
   }
+  const TranspositionTable::Snapshot g = grown.snapshot();
+  const TranspositionTable::Snapshot b = built.snapshot();
+  EXPECT_EQ(grown.bytes(), built.bytes());  // reached its ceiling
+  EXPECT_GT(b.evictions, 0u);               // ...and evicted there
+  EXPECT_EQ(g.hits, b.hits);
+  EXPECT_EQ(g.inserts, b.inserts);
+  EXPECT_EQ(g.evictions, b.evictions);
+  EXPECT_EQ(g.entries, b.entries);
+  EXPECT_EQ(g.stripe_hits, b.stripe_hits);
 }
 
 // A small search must not pay for its budget: 1000 entries under the
@@ -270,7 +265,7 @@ TEST(TranspositionTable, SmallRunStaysSmallUnderLargeBudget) {
   // 64 MiB of 64-byte buckets.
   constexpr std::uint64_t kBudgetEntries =
       (std::uint64_t{64} << 20) / 64 * TranspositionTable::kBucketEntries;
-  TranspositionTable tt(64, 16, TTReplacement::kAging);
+  TranspositionTable tt(64);
   EXPECT_EQ(tt.bytes(), TranspositionTable::kStartBytes);
   EXPECT_EQ(tt.capacity(), kBudgetEntries);
   for (std::uint64_t i = 0; i < 1000; ++i) {
@@ -279,8 +274,8 @@ TEST(TranspositionTable, SmallRunStaysSmallUnderLargeBudget) {
   EXPECT_GT(tt.bytes(), TranspositionTable::kStartBytes);
   EXPECT_LE(tt.bytes(), TranspositionTable::kHeapLimitBytes);
   EXPECT_EQ(tt.capacity(), kBudgetEntries);
-  EXPECT_EQ(tt.entry_count(), 1000u);
-  EXPECT_EQ(tt.evictions(), 0u);
+  EXPECT_EQ(tt.snapshot().entries, 1000u);
+  EXPECT_EQ(tt.snapshot().evictions, 0u);
 }
 
 // Concurrent growth (tsan preset: `ctest -L concurrency`): threads insert
@@ -291,7 +286,7 @@ TEST(TranspositionTable, SmallRunStaysSmallUnderLargeBudget) {
 TEST(TranspositionTable, ConcurrentGrowthLosesNothing) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 8'000;
-  TranspositionTable tt(64, 4, TTReplacement::kAging);
+  TranspositionTable tt(64);
   const auto hash_of = [](int t, std::uint64_t i) {
     return splitmix64((static_cast<std::uint64_t>(t) << 32) | i);
   };
@@ -319,9 +314,10 @@ TEST(TranspositionTable, ConcurrentGrowthLosesNothing) {
     }
   }
   EXPECT_GT(tt.bytes(), TranspositionTable::kHeapLimitBytes);
-  EXPECT_EQ(tt.inserts(), kThreads * kPerThread);
-  EXPECT_EQ(tt.entry_count(), tt.inserts());
-  EXPECT_EQ(tt.evictions(), 0u);
+  const TranspositionTable::Snapshot s = tt.snapshot();
+  EXPECT_EQ(s.inserts, kThreads * kPerThread);
+  EXPECT_EQ(s.entries, s.inserts);
+  EXPECT_EQ(s.evictions, 0u);
 }
 
 // The iterative-deepening driver on top of the table must stay

@@ -106,15 +106,12 @@ void help(const char* argv0, std::ostream& os) {
         "                     (default: --threads is clamped to the core\n"
         "                     count; oversubscribed lazy SMP only wastes\n"
         "                     time re-deriving peers' states)\n"
-        "  --tt-shards N      lock stripes of the shared transposition\n"
-        "                     table (parallel engine only, default 16)\n"
         "  --tt-mb N          transposition-table memory ceiling in MiB\n"
         "                     (default 64); the table starts at 4 KiB,"
         " doubles\n"
-        "                     on demand up to N and only then evicts by\n"
-        "                     --tt-policy\n"
-        "  --tt-policy P      replacement policy: always | depth | aging\n"
-        "                     (default aging); see docs/parallelism.md\n"
+        "                     on demand up to N and only then evicts,"
+        " oldest\n"
+        "                     search pass first; see docs/parallelism.md\n"
         "  --no-history       disable the history heuristic (learned\n"
         "                     (target, factor-class) ordering bonus)\n"
         "  --no-id            disable iterative deepening on the gate"
@@ -217,11 +214,14 @@ int usage(const char* argv0) {
   std::exit(2);
 }
 
-long long num_ll(const std::string& arg, const std::string& v) {
+// `min` is the smallest value an option accepts; below it a value is
+// refused like junk instead of being read as "off" or "auto".
+long long num_ll(const std::string& arg, const std::string& v,
+                 long long min = std::numeric_limits<long long>::min()) {
   try {
     std::size_t used = 0;
     const long long n = std::stoll(v, &used);
-    if (used != v.size()) bad_number(arg, v);
+    if (used != v.size() || n < min) bad_number(arg, v);
     return n;
   } catch (const std::exception&) {
     bad_number(arg, v);
@@ -230,16 +230,17 @@ long long num_ll(const std::string& arg, const std::string& v) {
 
 // int-typed options: range-checked before narrowing, so an out-of-range
 // value is reported instead of silently wrapping.
-int num_int(const std::string& arg, const std::string& v) {
-  const long long n = num_ll(arg, v);
-  if (n < std::numeric_limits<int>::min() ||
-      n > std::numeric_limits<int>::max()) {
-    bad_number(arg, v);
-  }
+int num_int(const std::string& arg, const std::string& v,
+            int min = std::numeric_limits<int>::min()) {
+  const long long n = num_ll(arg, v, min);
+  if (n > std::numeric_limits<int>::max()) bad_number(arg, v);
   return static_cast<int>(n);
 }
 
+// uint64 options: std::stoull accepts "-1" and wraps it to 2^64 - 1, so a
+// sign is refused before parsing.
 unsigned long long num_ull(const std::string& arg, const std::string& v) {
+  if (v.find('-') != std::string::npos) bad_number(arg, v);
   try {
     std::size_t used = 0;
     const unsigned long long n = std::stoull(v, &used);
@@ -310,14 +311,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-dir") {
       cache_dir = next();
     } else if (arg == "--cache-mb") {
-      cache_mb = num_ll(arg, next());
-      if (cache_mb < 0) bad_number(arg, std::to_string(cache_mb));
+      cache_mb = num_ll(arg, next(), 0);
     } else if (arg == "--canonical-cap") {
-      canonical_cap = num_int(arg, next());
-      if (canonical_cap < 0) bad_number(arg, std::to_string(canonical_cap));
+      canonical_cap = num_int(arg, next(), 0);
     } else if (arg == "--batch-threads") {
-      batch_threads = num_int(arg, next());
-      if (batch_threads < 0) bad_number(arg, std::to_string(batch_threads));
+      batch_threads = num_int(arg, next(), 0);
     } else if (arg == "--shard") {
       const std::string v = next();
       const std::size_t slash = v.find('/');
@@ -332,8 +330,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--checkpoint") {
       checkpoint_file = next();
     } else if (arg == "--cache-gc-mb") {
-      cache_gc_mb = num_ll(arg, next());
-      if (cache_gc_mb < 0) bad_number(arg, std::to_string(cache_gc_mb));
+      cache_gc_mb = num_ll(arg, next(), 0);
     } else if (arg == "--list") {
       for (const std::string& name : suite::benchmark_names()) {
         std::cout << name << "\n";
@@ -346,13 +343,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--gamma") {
       options.gamma = num_d(arg, next());
     } else if (arg == "--greedy") {
-      options.greedy_k = num_int(arg, next());
+      options.greedy_k = num_int(arg, next(), 0);
     } else if (arg == "--max-gates") {
-      options.max_gates = num_int(arg, next());
+      options.max_gates = num_int(arg, next(), 0);
     } else if (arg == "--max-nodes") {
       options.max_nodes = num_ull(arg, next());
     } else if (arg == "--time-ms") {
-      options.time_limit = std::chrono::milliseconds(num_ll(arg, next()));
+      options.time_limit = std::chrono::milliseconds(num_ll(arg, next(), 0));
     } else if (arg == "--stage-elim") {
       options.cumulative_elim_priority = false;
     } else if (arg == "--cumul") {
@@ -365,49 +362,32 @@ int main(int argc, char** argv) {
       options.exempt_budget = num_int(arg, next());
     } else if (arg == "--scope") {
       const std::string s = next();
-      options.exempt_scope =
-          s == "any"        ? SynthesisOptions::ExemptScope::kAny
-          : s == "additional" ? SynthesisOptions::ExemptScope::kAdditional
-                              : SynthesisOptions::ExemptScope::kComplement;
+      if (s == "c") {
+        options.exempt_scope = SynthesisOptions::ExemptScope::kComplement;
+      } else if (s == "additional") {
+        options.exempt_scope = SynthesisOptions::ExemptScope::kAdditional;
+      } else if (s == "any") {
+        options.exempt_scope = SynthesisOptions::ExemptScope::kAny;
+      } else {
+        std::cerr << "--scope wants c|additional|any, got '" << s << "'\n";
+        return usage(argv[0]);
+      }
     } else if (arg == "--restart") {
       options.restart_interval = num_ull(arg, next());
     } else if (arg == "--threads") {
-      options.num_threads = num_int(arg, next());
-      if (options.num_threads < 0) bad_number(arg, std::to_string(options.num_threads));
+      options.num_threads = num_int(arg, next(), 0);
     } else if (arg == "--queue") {
-      const long long v = num_ll(arg, next());
-      if (v < 1) bad_number(arg, std::to_string(v));
-      options.max_queue = static_cast<std::size_t>(v);
+      options.max_queue = static_cast<std::size_t>(num_ll(arg, next(), 1));
     } else if (arg == "--oversubscribe") {
       options.allow_oversubscription = true;
-    } else if (arg == "--tt-shards") {
-      options.tt_shards = num_int(arg, next());
-      if (options.tt_shards < 1) bad_number(arg, std::to_string(options.tt_shards));
     } else if (arg == "--tt-mb") {
-      options.tt_mb = num_int(arg, next());
-      if (options.tt_mb < 1) bad_number(arg, std::to_string(options.tt_mb));
-    } else if (arg == "--tt-policy") {
-      const std::string s = next();
-      if (s == "always") {
-        options.tt_replacement = TTReplacement::kAlways;
-      } else if (s == "depth") {
-        options.tt_replacement = TTReplacement::kDepthPreferred;
-      } else if (s == "aging") {
-        options.tt_replacement = TTReplacement::kAging;
-      } else {
-        std::cerr << "--tt-policy wants always|depth|aging, got '" << s
-                  << "'\n";
-        return usage(argv[0]);
-      }
+      options.tt_mb = num_int(arg, next(), 1);
     } else if (arg == "--no-history") {
       options.use_history = false;
     } else if (arg == "--no-id") {
       options.iterative_deepening = false;
     } else if (arg == "--dense-threshold") {
-      options.dense_threshold = num_int(arg, next());
-      if (options.dense_threshold < 0) {
-        bad_number(arg, std::to_string(options.dense_threshold));
-      }
+      options.dense_threshold = num_int(arg, next(), 0);
     } else if (arg == "--first") {
       options.stop_at_first_solution = true;
     } else if (arg == "--no-extra") {
@@ -434,8 +414,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics-out") {
       metrics_file = next();
     } else if (arg == "--heartbeat-ms") {
-      heartbeat_ms = num_ll(arg, next());
-      if (heartbeat_ms < 1) bad_number(arg, std::to_string(heartbeat_ms));
+      heartbeat_ms = num_ll(arg, next(), 1);
     } else if (arg == "--progress") {
       progress = true;
     } else if (arg == "--help" || arg == "-h") {
