@@ -53,76 +53,22 @@ struct Args {
 
 Args parse_args(int argc, char** argv) {
   Args a;
-  // Peel off the harness-specific flags, forward the rest to BenchArgs.
-  std::vector<char*> rest = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << arg << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto next_ll = [&]() -> long long {
-      const std::string value = next();
-      try {
-        std::size_t used = 0;
-        const long long parsed = std::stoll(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return parsed;
-      } catch (const std::exception&) {
-        std::cerr << "invalid number for " << arg << ": '" << value << "'\n";
-        std::exit(2);
-      }
-    };
-    if (arg == "--vars") {
-      a.vars = static_cast<int>(next_ll());
-      if (a.vars < 1) {
-        std::cerr << "invalid number for --vars\n";
-        std::exit(2);
-      }
-    } else if (arg == "--dup-frac") {
-      try {
-        a.dup_frac = std::stod(next());
-      } catch (const std::exception&) {
-        std::cerr << "invalid number for " << arg << "\n";
-        std::exit(2);
-      }
-      a.dup_frac = std::clamp(a.dup_frac, 0.0, 1.0);
-    } else if (arg == "--cache-mb") {
-      a.cache_mb = next_ll();
-      if (a.cache_mb < 0) {
-        std::cerr << "invalid number for --cache-mb\n";
-        std::exit(2);
-      }
-    } else if (arg == "--workload") {
-      a.workload = next();
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "batch_throughput: batch engine vs sequential no-cache"
-                   " baseline\n"
-                   "  --vars N        workload width in variables (default"
-                   " 4)\n"
-                   "  --dup-frac X    fraction of jobs that are orbit"
-                   " repeats (default 0.5)\n"
-                   "  --cache-mb N    cache budget in MiB for the batch run"
-                   " (default 64)\n"
-                   "  --workload FILE spec-list file instead of the"
-                   " generated workload\n";
-      bench::BenchArgs::print_help(std::cout);
-      std::exit(0);
-    } else {
-      rest.push_back(argv[i]);
-      if ((arg == "--samples" || arg == "--max-nodes" || arg == "--seed" ||
-           arg == "--json" || arg == "--threads" ||
-           arg == "--dense-threshold" || arg == "--heartbeat-ms") &&
-          i + 1 < argc) {
-        rest.push_back(argv[++i]);
-      }
-    }
-  }
-  a.common =
-      bench::BenchArgs::parse(static_cast<int>(rest.size()), rest.data());
+  FlagTable flags("[options]");
+  flags.section("batch_throughput: batch engine vs sequential no-cache"
+                " baseline")
+      .number("--vars", a.vars, "N",
+              "workload width in variables (default 4)", 1)
+      .number("--dup-frac", a.dup_frac, "X",
+              "fraction of jobs that are orbit repeats, clamped to [0,1]"
+              " (default 0.5)")
+      .number("--cache-mb", a.cache_mb, "N",
+              "cache budget in MiB for the batch run (default 64)", 0,
+              kMaxMebibytes)
+      .text("--workload", a.workload, "FILE",
+            "spec-list file instead of the generated workload");
+  a.common.declare(flags);
+  flags.parse(argc, argv);
+  a.dup_frac = std::clamp(a.dup_frac, 0.0, 1.0);
   return a;
 }
 

@@ -1,15 +1,10 @@
 /// \file bench_common.hpp
 /// \brief Shared plumbing for the table-reproduction harnesses.
 ///
-/// Every binary in bench/ regenerates one table of the paper. They accept:
-///   --samples N     sample size (tables based on random draws)
-///   --max-nodes N   per-function search budget
-///   --full          paper-scale sample sizes (slow)
-///   --seed N        RNG seed (default 20040216, the DATE'04 date)
-///   --json FILE     append one rmrls-metrics-v1 JSONL record per
-///                   synthesized function (see docs/observability.md)
-///   --help          print this option list and exit
-/// and print through io/table.hpp so outputs are diffable.
+/// Every binary in bench/ regenerates one table of the paper. They share
+/// the BenchArgs flags (sample size, search budget, seed, JSONL metrics,
+/// search-core knobs; run any harness with `--help` for the list) and
+/// print through io/table.hpp so outputs are diffable.
 
 #pragma once
 
@@ -18,11 +13,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 
 #include "core/search.hpp"
+#include "io/flags.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 
@@ -58,90 +53,40 @@ struct BenchArgs {
     options.iterative_deepening = iterative_deepening;
   }
 
-  static void print_help(std::ostream& os) {
-    os << "options:\n"
-          "  --samples N     sample size (0 = binary-specific default)\n"
-          "  --max-nodes N   per-function search budget\n"
-          "  --full          paper-scale sample sizes (slow)\n"
-          "  --seed N        RNG seed (default 20040216)\n"
-          "  --json FILE     write one JSONL metrics record per"
-          " synthesized function\n"
-          "  --heartbeat-ms N\n"
-          "                  stream live telemetry heartbeats"
-          " (rmrls-metrics-v2)\n"
-          "                  to stderr every N ms\n"
-          "  --threads N     parallel search workers (1 = sequential,\n"
-          "                  0 = one per hardware thread)\n"
-          "  --dense-threshold N\n"
-          "                  widest system run on the dense spectrum kernel\n"
-          "                  (-1 = library default, 0 = always sparse)\n"
-          "  --tt-mb N       transposition-table budget in MiB (0 = library\n"
-          "                  default)\n"
-          "  --no-history    disable the history-heuristic ordering bonus\n"
-          "  --no-id         disable iterative deepening on the gate bound\n"
-          "  --help          this text\n";
+  /// Adds the shared harness flags to `flags`, bound to this object.
+  void declare(FlagTable& flags) {
+    flags.number("--samples", samples, "N",
+                 "sample size (0 = binary-specific default)")
+        .number("--max-nodes", max_nodes, "N", "per-function search budget")
+        .flag("--full", full, "paper-scale sample sizes (slow)")
+        .number("--seed", seed, "N", "RNG seed (default 20040216)")
+        .text("--json", json_out, "FILE",
+              "write one JSONL metrics record per synthesized function")
+        .number("--heartbeat-ms", heartbeat_ms, "N",
+                "stream live telemetry heartbeats (rmrls-metrics-v2) to"
+                " stderr every N ms",
+                1)
+        .number("--threads", threads, "N",
+                "parallel search workers (1 = sequential, 0 = one per"
+                " hardware thread)",
+                0)
+        .number("--dense-threshold", dense_threshold, "N",
+                "widest system run on the dense spectrum kernel (-1 ="
+                " library default, 0 = always sparse)",
+                -1)
+        .number("--tt-mb", tt_mb, "N",
+                "transposition-table budget in MiB (0 = library default)", 0)
+        .flag("--no-history", use_history,
+              "disable the history-heuristic ordering bonus", false)
+        .flag("--no-id", iterative_deepening,
+              "disable iterative deepening on the gate bound", false);
   }
 
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs a;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto next = [&]() -> std::string {
-        if (i + 1 >= argc) {
-          std::cerr << "missing value for " << arg << "\n";
-          std::exit(2);
-        }
-        return argv[++i];
-      };
-      // Junk, negative and out-of-range values exit 2 with a diagnostic
-      // instead of aborting or wrapping (std::stoull reads "-1" as
-      // 2^64 - 1, and a static_cast<int> truncates).
-      const auto next_number = [&](long long lo, long long hi) -> long long {
-        const std::string value = next();
-        try {
-          std::size_t used = 0;
-          const long long parsed = std::stoll(value, &used);
-          if (used == value.size() && parsed >= lo && parsed <= hi) {
-            return parsed;
-          }
-        } catch (const std::exception&) {
-        }
-        std::cerr << "invalid number for " << arg << ": '" << value << "'\n";
-        std::exit(2);
-      };
-      constexpr long long kMax = std::numeric_limits<long long>::max();
-      constexpr int kIntMax = std::numeric_limits<int>::max();
-      if (arg == "--samples") {
-        a.samples = static_cast<std::uint64_t>(next_number(0, kMax));
-      } else if (arg == "--max-nodes") {
-        a.max_nodes = static_cast<std::uint64_t>(next_number(0, kMax));
-      } else if (arg == "--full") {
-        a.full = true;
-      } else if (arg == "--seed") {
-        a.seed = static_cast<std::uint64_t>(next_number(0, kMax));
-      } else if (arg == "--json") {
-        a.json_out = next();
-      } else if (arg == "--heartbeat-ms") {
-        a.heartbeat_ms = next_number(1, kMax);
-      } else if (arg == "--threads") {
-        a.threads = static_cast<int>(next_number(0, kIntMax));
-      } else if (arg == "--dense-threshold") {
-        a.dense_threshold = static_cast<int>(next_number(-1, kIntMax));
-      } else if (arg == "--tt-mb") {
-        a.tt_mb = static_cast<int>(next_number(0, kIntMax));
-      } else if (arg == "--no-history") {
-        a.use_history = false;
-      } else if (arg == "--no-id") {
-        a.iterative_deepening = false;
-      } else if (arg == "--help" || arg == "-h") {
-        print_help(std::cout);
-        std::exit(0);
-      } else {
-        std::cerr << "unknown argument: " << arg << "\n";
-        print_help(std::cerr);
-        std::exit(2);
-      }
-    }
+    FlagTable flags("[options]");
+    a.declare(flags);
+    flags.parse(argc, argv);
     return a;
   }
 };

@@ -30,7 +30,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -41,6 +40,7 @@
 
 #include "bench_suite/corpus.hpp"
 #include "core/status.hpp"
+#include "io/flags.hpp"
 #include "io/table.hpp"
 #include "obs/json.hpp"
 
@@ -66,96 +66,38 @@ struct Args {
   bool quick = false;
 };
 
-void help(std::ostream& os) {
-  os << "fleet_throughput: jobs/s vs shard-process count over a shared\n"
-        "on-disk orbit store (docs/fleet.md)\n"
-        "  --size N          corpus size (default 96; --quick 24)\n"
-        "  --repeat-rate X   orbit-repeat fraction in [0,1] (default 0.6)\n"
-        "  --min-vars N      narrowest spec (default 3)\n"
-        "  --max-vars N      widest spec (default 5)\n"
-        "  --seed N          corpus seed (default 20040216)\n"
-        "  --max-procs N     ladder top: 1,2,4,... up to N (default 8;\n"
-        "                    --quick 2)\n"
-        "  --cache-mb N      per-process in-memory cache MiB (default 64)\n"
-        "  --cache-gc-mb N   shared-store disk budget MiB (0 = unbounded)\n"
-        "  --max-nodes N     per-job search budget (default 200000)\n"
-        "  --rmrls PATH      rmrls CLI binary (default: ../tools/rmrls\n"
-        "                    next to this harness)\n"
-        "  --workdir DIR     keep artifacts in DIR (default: fresh temp\n"
-        "                    dir, removed on exit)\n"
-        "  --json FILE       write an rmrls-fleet-bench-v1 document\n"
-        "  --quick           CTest mode: tiny corpus, ladder 1,2\n"
-        "  --help            this text\n";
-}
-
-[[noreturn]] void bad_number(const std::string& arg, const std::string& v) {
-  std::cerr << "invalid number for " << arg << ": '" << v << "'\n";
-  std::exit(2);
-}
-
 Args parse_args(int argc, char** argv) {
   Args a;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << arg << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto next_ll = [&]() -> long long {
-      const std::string value = next();
-      try {
-        std::size_t used = 0;
-        const long long parsed = std::stoll(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return parsed;
-      } catch (const std::exception&) {
-        bad_number(arg, value);
-      }
-    };
-    if (arg == "--size") {
-      a.size = static_cast<int>(next_ll());
-    } else if (arg == "--repeat-rate") {
-      const std::string value = next();
-      try {
-        a.repeat_rate = std::stod(value);
-      } catch (const std::exception&) {
-        bad_number(arg, value);
-      }
-    } else if (arg == "--min-vars") {
-      a.min_vars = static_cast<int>(next_ll());
-    } else if (arg == "--max-vars") {
-      a.max_vars = static_cast<int>(next_ll());
-    } else if (arg == "--seed") {
-      a.seed = static_cast<std::uint64_t>(next_ll());
-    } else if (arg == "--max-procs") {
-      a.max_procs = static_cast<int>(next_ll());
-      if (a.max_procs < 1) bad_number(arg, std::to_string(a.max_procs));
-    } else if (arg == "--cache-mb") {
-      a.cache_mb = next_ll();
-    } else if (arg == "--cache-gc-mb") {
-      a.cache_gc_mb = next_ll();
-    } else if (arg == "--max-nodes") {
-      a.max_nodes = static_cast<std::uint64_t>(next_ll());
-    } else if (arg == "--rmrls") {
-      a.rmrls = next();
-    } else if (arg == "--workdir") {
-      a.workdir = next();
-    } else if (arg == "--json") {
-      a.json_out = next();
-    } else if (arg == "--quick") {
-      a.quick = true;
-    } else if (arg == "--help" || arg == "-h") {
-      help(std::cout);
-      std::exit(0);
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      help(std::cerr);
-      std::exit(2);
-    }
-  }
+  FlagTable flags("[options]");
+  flags
+      .section("fleet_throughput: jobs/s vs shard-process count over a shared\n"
+               "on-disk orbit store (docs/fleet.md)")
+      .number("--size", a.size, "N", "corpus size (default 96; --quick 24)")
+      .number("--repeat-rate", a.repeat_rate, "X",
+              "orbit-repeat fraction in [0,1] (default 0.6)")
+      .number("--min-vars", a.min_vars, "N", "narrowest spec (default 3)")
+      .number("--max-vars", a.max_vars, "N", "widest spec (default 5)")
+      .number("--seed", a.seed, "N", "corpus seed (default 20040216)")
+      .number("--max-procs", a.max_procs, "N",
+              "ladder top: 1,2,4,... up to N (default 8; --quick 2)", 1)
+      .number("--cache-mb", a.cache_mb, "N",
+              "per-process in-memory cache MiB (default 64)", 0,
+              kMaxMebibytes)
+      .number("--cache-gc-mb", a.cache_gc_mb, "N",
+              "shared-store disk budget MiB (0 = unbounded)", 0,
+              kMaxMebibytes)
+      .number("--max-nodes", a.max_nodes, "N",
+              "per-job search budget (default 200000)")
+      .text("--rmrls", a.rmrls, "PATH",
+            "rmrls CLI binary (default: ../tools/rmrls next to this"
+            " harness)")
+      .text("--workdir", a.workdir, "DIR",
+            "keep artifacts in DIR (default: fresh temp dir, removed on"
+            " exit)")
+      .text("--json", a.json_out, "FILE",
+            "write an rmrls-fleet-bench-v1 document")
+      .flag("--quick", a.quick, "CTest mode: tiny corpus, ladder 1,2");
+  flags.parse(argc, argv);
   if (a.quick) {
     a.size = std::min(a.size, 24);
     a.max_procs = std::min(a.max_procs, 2);

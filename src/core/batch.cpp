@@ -152,16 +152,9 @@ void run_one_job(BatchContext& ctx, std::size_t index, int search_threads) {
     accumulate_stats(ctx.search_stats, out.result.stats);
   };
 
-  CachedSynthesisOutcome cached = synthesize_cached(
+  static_cast<CachedSynthesisOutcome&>(out) = synthesize_cached(
       job.spec, ctx.options->cache, ctx.options->canonical,
       job_resilience(ctx, search_threads, trace_id));
-  out.status = cached.status;
-  out.result = std::move(cached.result);
-  out.engine = cached.engine;
-  out.verified = cached.verified;
-  out.cache_hit = cached.cache_hit;
-  out.orbit_hit = cached.orbit_hit;
-  out.deduped = cached.deduped;
   finish();
 }
 
@@ -211,6 +204,26 @@ void worker_loop(BatchContext& ctx, int search_threads) {
 }
 
 }  // namespace
+
+MetricsRegistry job_metrics(std::string_view name, int vars,
+                            const CachedSynthesisOutcome& out,
+                            std::uint64_t trace_id) {
+  MetricsRegistry record;
+  record.set("name", name).set("vars", vars).set("success", out.status.ok());
+  if (trace_id != 0) record.set("trace_id", trace_id_hex(trace_id));
+  record.add_stats(out.result.stats, out.result.termination);
+  record.set("fallback_engine", std::string_view(to_string(out.engine)));
+  record.set("verified", out.verified);
+  record.set("cache_hit", out.cache_hit)
+      .set("cache_orbit_hit", out.orbit_hit)
+      .set("batch_deduped", out.deduped);
+  if (out.status.ok()) {
+    record.add_circuit(out.result.circuit);
+  } else {
+    record.set("gates", -1).set("quantum_cost", -1);
+  }
+  return record;
+}
 
 CachedSynthesisOutcome synthesize_cached(const TruthTable& spec,
                                          SynthCache* cache,

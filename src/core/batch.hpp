@@ -21,11 +21,13 @@
 
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/resilient.hpp"
 #include "core/status.hpp"
 #include "core/synth_cache.hpp"
+#include "obs/metrics.hpp"
 #include "rev/canonical.hpp"
 #include "rev/truth_table.hpp"
 
@@ -45,22 +47,29 @@ struct BatchJob {
   std::string id;
 };
 
-/// Outcome of one job, in input order.
-struct BatchJobOutcome {
-  std::string name;
-  /// kOk with a verified circuit; kCancelled for jobs stopped (or never
-  /// started) by the batch token; kBudgetExhausted otherwise.
+/// Outcome of one cached synthesis (synthesize_cached): the per-request
+/// core of a batch job, shared verbatim with the serve daemon
+/// (src/serve/server.hpp) so both paths route through the same warm cache
+/// with the same verification guarantees.
+struct CachedSynthesisOutcome {
+  /// kOk with a verified circuit; kCancelled / kBudgetExhausted /
+  /// kInternal otherwise (docs/robustness.md).
   Status status;
   /// Circuit, accumulated engine counters, and termination reason. For
   /// cache hits the stats are empty — no engine ran.
   SynthesisResult result;
   FallbackEngine engine = FallbackEngine::kNone;
-  /// True iff `result.circuit` was re-checked against this job's own spec
-  /// (not just the orbit representative) with the exact PPRM check.
-  bool verified = false;
-  bool cache_hit = false;   ///< served from the cache (memory or disk)
-  bool orbit_hit = false;   ///< hit with a non-identity orbit transform
-  bool deduped = false;     ///< adopted a concurrent leader's result
+  bool verified = false;   ///< re-checked against the caller's own spec
+  bool cache_hit = false;  ///< served from the cache (memory or disk)
+  bool orbit_hit = false;  ///< hit with a non-identity orbit transform
+  bool deduped = false;    ///< adopted a concurrent leader's result
+};
+
+/// Outcome of one job, in input order. A job stopped (or never started)
+/// by the batch token ends kCancelled on a user cancel, kBudgetExhausted
+/// on the batch deadline.
+struct BatchJobOutcome : CachedSynthesisOutcome {
+  std::string name;
   /// True iff a checkpoint said this job already completed in a previous
   /// run: nothing ran, nothing is emitted for it (status stays kOk with an
   /// empty circuit; the CLI suppresses its per-job output entirely).
@@ -72,6 +81,14 @@ struct BatchJobOutcome {
   std::uint64_t trace_id = 0;
   std::chrono::microseconds elapsed{0};
 };
+
+/// The rmrls-metrics-v1 record of one job (docs/observability.md), built
+/// the same way by `rmrls --batch` and rmrls-serve: outcome, engine
+/// counters, cache flags, and circuit stats (gates and quantum_cost -1
+/// on failure). A zero `trace_id` (telemetry disarmed) leaves the key out.
+[[nodiscard]] MetricsRegistry job_metrics(std::string_view name, int vars,
+                                          const CachedSynthesisOutcome& out,
+                                          std::uint64_t trace_id);
 
 /// Batch-level counters (the `rmrls-metrics-v1` fields of the summary
 /// record). Every completed job contributes to exactly one of hits /
@@ -138,22 +155,6 @@ struct BatchResult {
   Status status;
   bool watchdog_fired = false;
   std::chrono::microseconds elapsed{0};
-};
-
-/// Outcome of one cached synthesis (synthesize_cached): the per-request
-/// core of a batch job, shared verbatim with the serve daemon
-/// (src/serve/server.hpp) so both paths route through the same warm cache
-/// with the same verification guarantees.
-struct CachedSynthesisOutcome {
-  /// kOk with a verified circuit; kCancelled / kBudgetExhausted /
-  /// kInternal otherwise (docs/robustness.md).
-  Status status;
-  SynthesisResult result;
-  FallbackEngine engine = FallbackEngine::kNone;
-  bool verified = false;   ///< re-checked against the caller's own spec
-  bool cache_hit = false;  ///< served from the cache (memory or disk)
-  bool orbit_hit = false;  ///< hit with a non-identity orbit transform
-  bool deduped = false;    ///< adopted a concurrent leader's result
 };
 
 /// Synthesizes `spec` through the canonical-orbit cache (docs/caching.md):

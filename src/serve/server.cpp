@@ -198,29 +198,6 @@ std::string result_frame(const std::string& id, std::uint64_t trace_id,
   return o.str();
 }
 
-/// Per-job rmrls-metrics-v1 record, same keys as a batch job record plus
-/// `serve_status` (docs/observability.md).
-std::string job_record(const std::string& name, int vars,
-                       const CachedSynthesisOutcome& out,
-                       std::uint64_t trace_id) {
-  MetricsRegistry record;
-  record.set("name", name).set("vars", vars).set("success", out.status.ok());
-  record.set("trace_id", trace_id_hex(trace_id));
-  record.add_stats(out.result.stats, out.result.termination);
-  record.set("fallback_engine", std::string_view(to_string(out.engine)));
-  record.set("verified", out.verified);
-  record.set("cache_hit", out.cache_hit)
-      .set("cache_orbit_hit", out.orbit_hit)
-      .set("batch_deduped", out.deduped);
-  record.set("serve_status", std::string_view(to_string(out.status.code())));
-  if (out.status.ok()) {
-    record.add_circuit(out.result.circuit);
-  } else {
-    record.set("gates", -1).set("quantum_cost", -1);
-  }
-  return record.to_json();
-}
-
 /// Record for a request that never ran: shed at admission (or while
 /// draining). Carries the full required-key set with empty engine stats
 /// so one validator covers healthy and shed streams alike.
@@ -503,7 +480,12 @@ int ServeDaemon::run() {
       d.frame = result_frame(id, job->trace_id, out, want_tfc, elapsed_us,
                              spec.num_vars());
       if (want_metrics) {
-        d.metrics_json = job_record(name, spec.num_vars(), out, job->trace_id);
+        // The batch job record plus the request's final status.
+        d.metrics_json =
+            job_metrics(name, spec.num_vars(), out, job->trace_id)
+                .set("serve_status",
+                     std::string_view(to_string(out.status.code())))
+                .to_json();
       }
       {
         const std::lock_guard<std::mutex> lock(imp->done_m);

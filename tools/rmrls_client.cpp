@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "core/status.hpp"
+#include "io/flags.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics_validate.hpp"
 #include "obs/telemetry.hpp"
@@ -41,66 +42,6 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-void help(const char* argv0, std::ostream& os) {
-  os << "usage: " << argv0
-     << " (--socket PATH | --port N) [ops] [options]\n"
-        "\n"
-        "Connection:\n"
-        "  --socket PATH      daemon's unix-domain socket\n"
-        "  --port N           daemon's loopback TCP port\n"
-        "  --spawn BIN        fork+exec BIN as the daemon (passing\n"
-        "                     --socket PATH), retry-connect until ready,\n"
-        "                     and reap it on exit. Requires --socket.\n"
-        "  --daemon-arg ARG   extra argv token for --spawn (repeatable)\n"
-        "  --timeout-ms N     overall client deadline (default 30000)\n"
-        "\n"
-        "Operations (run in order: ping, watch, raw, submit, stats,\n"
-        "shutdown):\n"
-        "  --ping             liveness probe\n"
-        "  --submit SPEC      synthesize a permutation (repeatable),\n"
-        "                     e.g. \"{1,0,7,2,3,4,5,6}\"\n"
-        "  --time-ms N        per-submit deadline sent with each request\n"
-        "  --tfc              ask for the circuit as TFC text\n"
-        "  --watch N          subscribe to heartbeats; wait for N of them\n"
-        "  --stats            fetch daemon counters\n"
-        "  --shutdown         ask the daemon to drain after the other ops\n"
-        "\n"
-        "Fault injection (test harness; docs/serving.md):\n"
-        "  --raw LINE         send LINE verbatim (repeatable); expects one\n"
-        "                     response frame (an error, for garbage)\n"
-        "  --slow-ms N        trickle request bytes one at a time with N ms\n"
-        "                     pauses (slow-client simulation)\n"
-        "  --disconnect       close the socket as soon as every submit is\n"
-        "                     acknowledged, abandoning the results\n"
-        "  --validate         check every received heartbeat with the\n"
-        "                     shared MetricsValidator; any violation is an\n"
-        "                     internal error (exit 6)\n"
-        "\n"
-        "Exit codes: worst across responses — 0 ok; 2 usage; 3 parse /\n"
-        "invalid spec; 4 budget exhausted; 5 cancelled; 6 internal or\n"
-        "protocol violation; 7 unavailable (shed / draining).\n";
-}
-
-int usage(const char* argv0) {
-  help(argv0, std::cerr);
-  return 2;
-}
-
-bool num_ll(const char* text, long long& out) {
-  char* end = nullptr;
-  out = std::strtoll(text, &end, 10);
-  return end != text && *end == '\0';
-}
-
-long long arg_number(int argc, char** argv, int& i, const char* flag) {
-  long long v = 0;
-  if (i + 1 >= argc || !num_ll(argv[++i], v) || v < 0) {
-    std::cerr << "error: " << flag << " needs a non-negative integer\n";
-    std::exit(2);
-  }
-  return v;
-}
 
 int connect_unix(const std::string& path) {
   sockaddr_un addr{};
@@ -186,60 +127,63 @@ int main(int argc, char** argv) {
   using namespace rmrls;
   Options o;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      help(argv[0], std::cout);
-      return 0;
-    } else if (arg == "--socket") {
-      if (i + 1 >= argc) return usage(argv[0]);
-      o.socket_path = argv[++i];
-    } else if (arg == "--port") {
-      o.port = static_cast<int>(arg_number(argc, argv, i, "--port"));
-    } else if (arg == "--spawn") {
-      if (i + 1 >= argc) return usage(argv[0]);
-      o.spawn_bin = argv[++i];
-    } else if (arg == "--daemon-arg") {
-      if (i + 1 >= argc) return usage(argv[0]);
-      o.daemon_args.push_back(argv[++i]);
-    } else if (arg == "--timeout-ms") {
-      o.timeout_ms = arg_number(argc, argv, i, "--timeout-ms");
-    } else if (arg == "--ping") {
-      o.ping = true;
-    } else if (arg == "--submit") {
-      if (i + 1 >= argc) return usage(argv[0]);
-      o.submits.push_back(argv[++i]);
-    } else if (arg == "--time-ms") {
-      o.time_ms = arg_number(argc, argv, i, "--time-ms");
-    } else if (arg == "--tfc") {
-      o.tfc = true;
-    } else if (arg == "--watch") {
-      o.watch = arg_number(argc, argv, i, "--watch");
-    } else if (arg == "--stats") {
-      o.stats = true;
-    } else if (arg == "--shutdown") {
-      o.shutdown = true;
-    } else if (arg == "--raw") {
-      if (i + 1 >= argc) return usage(argv[0]);
-      o.raws.push_back(argv[++i]);
-    } else if (arg == "--slow-ms") {
-      o.slow_ms = arg_number(argc, argv, i, "--slow-ms");
-    } else if (arg == "--disconnect") {
-      o.disconnect = true;
-    } else if (arg == "--validate") {
-      o.validate = true;
-    } else {
-      std::cerr << "error: unknown option " << arg << "\n";
-      return usage(argv[0]);
-    }
-  }
+  FlagTable flags("(--socket PATH | --port N) [ops] [options]");
+  flags.section("Connection:")
+      .text("--socket", o.socket_path, "PATH", "daemon's unix-domain socket")
+      .number("--port", o.port, "N", "daemon's loopback TCP port", 0, 65535)
+      .text("--spawn", o.spawn_bin, "BIN",
+            "fork+exec BIN as the daemon (passing --socket PATH),"
+            " retry-connect until ready, and reap it on exit. Requires"
+            " --socket.")
+      .text("--daemon-arg", o.daemon_args, "ARG",
+            "extra argv token for --spawn (repeatable)")
+      .number("--timeout-ms", o.timeout_ms, "N",
+              "overall client deadline (default 30000)", 0);
+  flags.section(
+          "Operations (run in order: ping, watch, raw, submit, stats,\n"
+          "shutdown):")
+      .flag("--ping", o.ping, "liveness probe")
+      .text("--submit", o.submits, "SPEC",
+            "synthesize a permutation (repeatable), e.g."
+            " \"{1,0,7,2,3,4,5,6}\"")
+      .number("--time-ms", o.time_ms, "N",
+              "per-submit deadline sent with each request", 0)
+      .flag("--tfc", o.tfc, "ask for the circuit as TFC text")
+      .number("--watch", o.watch, "N",
+              "subscribe to heartbeats; wait for N of them", 0)
+      .flag("--stats", o.stats, "fetch daemon counters")
+      .flag("--shutdown", o.shutdown,
+            "ask the daemon to drain after the other ops");
+  flags.section("Fault injection (test harness; docs/serving.md):")
+      .text("--raw", o.raws, "LINE",
+            "send LINE verbatim (repeatable); expects one response frame"
+            " (an error, for garbage)")
+      .number("--slow-ms", o.slow_ms, "N",
+              "trickle request bytes one at a time with N ms pauses"
+              " (slow-client simulation)",
+              0)
+      .flag("--disconnect", o.disconnect,
+            "close the socket as soon as every submit is acknowledged,"
+            " abandoning the results")
+      .flag("--validate", o.validate,
+            "check every received heartbeat with the shared"
+            " MetricsValidator; any violation is an internal error (exit 6)");
+  flags.footer(
+      "Exit codes: worst across responses — 0 ok; 2 usage; 3 parse /\n"
+      "invalid spec; 4 budget exhausted; 5 cancelled; 6 internal or\n"
+      "protocol violation; 7 unavailable (shed / draining).");
+  flags.parse(argc, argv);
+  const auto usage = [&] {
+    flags.print_help(std::cerr, argv[0]);
+    return 2;
+  };
   if (o.socket_path.empty() && o.port < 0) {
     std::cerr << "error: need --socket PATH or --port N\n";
-    return usage(argv[0]);
+    return usage();
   }
   if (!o.spawn_bin.empty() && o.socket_path.empty()) {
     std::cerr << "error: --spawn needs --socket\n";
-    return usage(argv[0]);
+    return usage();
   }
 
   const auto deadline =

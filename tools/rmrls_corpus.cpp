@@ -14,102 +14,40 @@
 
 #include "bench_suite/corpus.hpp"
 #include "core/status.hpp"
-
-namespace {
-
-void help(const char* argv0, std::ostream& os) {
-  os << "usage: " << argv0
-     << " [options]\n"
-        "\n"
-        "Writes a spec corpus (one permutation per line, labels in '#'\n"
-        "comments) to stdout or --out, suitable for `rmrls --batch` and\n"
-        "`bench/fleet_throughput` (docs/fleet.md).\n"
-        "\n"
-        "  --family F        hwb | prime | tof | random | mixed (default\n"
-        "                    mixed: round-robin over all four)\n"
-        "  --size N          total specs (default 256)\n"
-        "  --repeat-rate X   fraction in [0,1] of entries that are orbit\n"
-        "                    repeats of earlier bases (default 0.5)\n"
-        "  --min-vars N      narrowest spec (default 3, min 2)\n"
-        "  --max-vars N      widest spec (default 5, max 16)\n"
-        "  --seed N          RNG seed (default 1); same seed, same corpus\n"
-        "  --out FILE        write to FILE instead of stdout\n"
-        "  --help, -h        this text\n"
-        "\n"
-        "Exit codes: 0 success; 2 usage; 6 internal error.\n";
-}
-
-[[noreturn]] void bad_number(const std::string& arg, const std::string& v) {
-  std::cerr << "invalid number for " << arg << ": '" << v << "'\n";
-  std::exit(2);
-}
-
-long long num_ll(const std::string& arg, const std::string& v) {
-  try {
-    std::size_t used = 0;
-    const long long n = std::stoll(v, &used);
-    if (used != v.size()) bad_number(arg, v);
-    return n;
-  } catch (const std::exception&) {
-    bad_number(arg, v);
-  }
-}
-
-double num_d(const std::string& arg, const std::string& v) {
-  try {
-    std::size_t used = 0;
-    const double n = std::stod(v, &used);
-    if (used != v.size()) bad_number(arg, v);
-    return n;
-  } catch (const std::exception&) {
-    bad_number(arg, v);
-  }
-}
-
-}  // namespace
+#include "io/flags.hpp"
 
 int main(int argc, char** argv) {
   using namespace rmrls;
   suite::CorpusOptions options;
   std::string out_file;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << arg << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--family") {
-      Result<suite::CorpusFamily> fam = suite::parse_corpus_family(next());
-      if (!fam.ok()) {
-        std::cerr << "error: " << fam.status().to_string() << "\n";
-        return 2;
-      }
-      options.family = fam.value();
-    } else if (arg == "--size") {
-      options.size = static_cast<int>(num_ll(arg, next()));
-    } else if (arg == "--repeat-rate") {
-      options.repeat_rate = num_d(arg, next());
-    } else if (arg == "--min-vars") {
-      options.min_vars = static_cast<int>(num_ll(arg, next()));
-    } else if (arg == "--max-vars") {
-      options.max_vars = static_cast<int>(num_ll(arg, next()));
-    } else if (arg == "--seed") {
-      options.seed = static_cast<std::uint64_t>(num_ll(arg, next()));
-    } else if (arg == "--out") {
-      out_file = next();
-    } else if (arg == "--help" || arg == "-h") {
-      help(argv[0], std::cout);
-      return 0;
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      help(argv[0], std::cerr);
-      return 2;
-    }
-  }
+  FlagTable flags("[options]");
+  flags
+      .section(
+          "Writes a spec corpus (one permutation per line, labels in '#'\n"
+          "comments) to stdout or --out, suitable for `rmrls --batch` and\n"
+          "`bench/fleet_throughput` (docs/fleet.md).")
+      .custom("--family", "hwb|prime|tof|random|mixed",
+              "corpus family (default mixed: round-robin over all four)",
+              [&](std::string_view v) {
+                Result<suite::CorpusFamily> family =
+                    suite::parse_corpus_family(std::string(v));
+                if (family.ok()) options.family = family.value();
+                return family.ok();
+              })
+      .number("--size", options.size, "N", "total specs (default 256)")
+      .number("--repeat-rate", options.repeat_rate, "X",
+              "fraction in [0,1] of entries that are orbit repeats of"
+              " earlier bases (default 0.5)")
+      .number("--min-vars", options.min_vars, "N",
+              "narrowest spec (default 3, min 2)")
+      .number("--max-vars", options.max_vars, "N",
+              "widest spec (default 5, max 16)")
+      .number("--seed", options.seed, "N",
+              "RNG seed (default 1); same seed, same corpus")
+      .text("--out", out_file, "FILE", "write to FILE instead of stdout")
+      .footer("Exit codes: 0 success; 2 usage; 6 internal error.");
+  flags.parse(argc, argv);
 
   try {
     Result<std::vector<suite::CorpusEntry>> corpus =

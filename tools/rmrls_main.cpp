@@ -1,13 +1,12 @@
 /// \file rmrls_main.cpp
 /// \brief Command-line front end of the RMRLS synthesizer.
 ///
-/// Run `rmrls --help` for the full option list (the help() function below
-/// is the authoritative reference).
+/// Run `rmrls --help` for the full option list, which main() declares on
+/// one FlagTable (io/flags.hpp).
 
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -21,6 +20,7 @@
 #include "core/status.hpp"
 #include "core/synth_cache.hpp"
 #include "core/synthesizer.hpp"
+#include "io/flags.hpp"
 #include "io/spec.hpp"
 #include "io/tfc.hpp"
 #include "rev/canonical.hpp"
@@ -60,208 +60,6 @@ void install_cancel_signals() {
 #endif
 }
 
-void help(const char* argv0, std::ostream& os) {
-  os << "usage: " << argv0
-     << " (--perm SPEC | --spec FILE | --batch FILE | --benchmark NAME"
-        " | --resynth FILE | --list) [options]\n"
-        "\n"
-        "Input (exactly one):\n"
-        "  --perm SPEC        inline permutation, e.g. \"{1, 0, 7, 2, 3, 4,"
-        " 5, 6}\"\n"
-        "  --spec FILE        permutation spec file (same syntax)\n"
-        "  --batch FILE       spec-list file: one permutation per line,"
-        " '#'\n"
-        "                     comments; jobs run concurrently through the\n"
-        "                     orbit cache (docs/caching.md)\n"
-        "  --benchmark NAME   named function from the paper's suite\n"
-        "  --resynth FILE     resynthesize an existing .tfc cascade\n"
-        "  --list             list benchmark names and exit\n"
-        "\n"
-        "Search options:\n"
-        "  --alpha X --beta X --gamma X\n"
-        "                     eq. (4) priority weights (default 0.3 0.6"
-        " 0.1)\n"
-        "  --greedy K         keep best K substitutions per variable (0 ="
-        " all)\n"
-        "  --max-gates N      circuit size cap (0 = unlimited)\n"
-        "  --max-nodes N      search-node budget (default 200000)\n"
-        "  --time-ms N        wall-clock limit in milliseconds\n"
-        "  --first            stop at the first valid circuit\n"
-        "  --no-extra         basic substitutions only (Section IV-A)\n"
-        "  --scope c|additional|any\n"
-        "                     non-reducing substitution scope\n"
-        "  --cbudget N        non-reducing substitutions per path (-1 ="
-        " auto)\n"
-        "  --restart N        restart interval in expansions (0 = off)\n"
-        "  --queue N          queued-candidate cap (default 2^20); with\n"
-        "                     --tt-mb this bounds the search's resident\n"
-        "                     memory on long runs (overflow counts\n"
-        "                     dropped_queue_full)\n"
-        "  --threads N        parallel search workers (default 1 ="
-        " sequential\n"
-        "                     engine, bit-reproducible; 0 = one per"
-        " hardware\n"
-        "                     thread); see docs/parallelism.md\n"
-        "  --oversubscribe    allow more workers than hardware threads\n"
-        "                     (default: --threads is clamped to the core\n"
-        "                     count; oversubscribed lazy SMP only wastes\n"
-        "                     time re-deriving peers' states)\n"
-        "  --tt-mb N          transposition-table memory ceiling in MiB\n"
-        "                     (default 64); the table starts at 4 KiB,"
-        " doubles\n"
-        "                     on demand up to N and only then evicts,"
-        " oldest\n"
-        "                     search pass first; see docs/parallelism.md\n"
-        "  --no-history       disable the history heuristic (learned\n"
-        "                     (target, factor-class) ordering bonus)\n"
-        "  --no-id            disable iterative deepening on the gate"
-        " bound\n"
-        "                     (single full-depth pass, pre-PR-7 behaviour)\n"
-        "  --dense-threshold N\n"
-        "                     widest system (in variables) eligible for"
-        " the\n"
-        "                     word-parallel dense spectrum kernel (default"
-        " 14,\n"
-        "                     0 = always sparse); see docs/dense_pprm.md\n"
-        "  --tt / --no-tt     transposition table on/off\n"
-        "  --cumul / --stage-elim\n"
-        "                     cumulative vs per-stage elimination priority\n"
-        "\n"
-        "Caching and batch throughput (docs/caching.md):\n"
-        "  --cache-mb N       in-memory orbit-cache budget in MiB (0 ="
-        " off;\n"
-        "                     default 64 in --batch mode, otherwise 0, or"
-        " 64\n"
-        "                     when --cache-dir is given)\n"
-        "  --cache-dir DIR    on-disk circuit store (one .tfc per"
-        " canonical\n"
-        "                     key); persists cache entries across runs\n"
-        "  --canonical-cap N  widest spec (in variables) canonicalized to"
-        " its\n"
-        "                     orbit representative (default 12); wider"
-        " specs\n"
-        "                     are cached by exact identity only\n"
-        "  --batch-threads N  concurrent jobs in --batch mode (0 = auto:\n"
-        "                     min(jobs, --threads), leftover threads go to\n"
-        "                     each search; docs/parallelism.md). --time-ms\n"
-        "                     bounds the *whole batch* under one watchdog.\n"
-        "\n"
-        "Fleet scale-out (docs/fleet.md, --batch mode only):\n"
-        "  --shard I/N        run only shard I of N (0-based): each spec\n"
-        "                     line is assigned to exactly one shard by a\n"
-        "                     stable content hash, so N processes over the\n"
-        "                     same file partition it without coordination\n"
-        "  --checkpoint FILE  record completed job ids (tmp+rename); on\n"
-        "                     restart those jobs are skipped and the run\n"
-        "                     resumes where the dead one stopped\n"
-        "  --cache-gc-mb N    byte budget of the --cache-dir store in MiB\n"
-        "                     (0 = unbounded); oldest .tfc files are\n"
-        "                     garbage-collected past it, and stale lease/\n"
-        "                     tmp litter from dead processes is swept\n"
-        "\n"
-        "Resilience (docs/robustness.md):\n"
-        "  --resilient        fallback cascade: best-first, then greedy,\n"
-        "                     then transformation-based; the winner is\n"
-        "                     verified and labelled in the metrics. With\n"
-        "                     --time-ms the whole cascade shares the\n"
-        "                     wall-clock budget under a watchdog.\n"
-        "  --no-watchdog      enforce --time-ms cooperatively only (no\n"
-        "                     watchdog thread)\n"
-        "\n"
-        "Post-processing and output:\n"
-        "  --templates        post-process with the template pass\n"
-        "  --fredkin          extract Fredkin gates (mixed output)\n"
-        "  --bidir            also try the inverse direction\n"
-        "  --tfc              print the circuit in .tfc format\n"
-        "\n"
-        "Observability:\n"
-        "  --trace FILE       write typed search events as JSONL\n"
-        "  --trace-interval N sample node-expansion/prune events every Nth\n"
-        "                     expansion (default 1 = every event)\n"
-        "  --metrics-out FILE write one JSON metrics record (counters,\n"
-        "                     per-phase timings, termination reason,"
-        " circuit\n"
-        "                     stats); schema rmrls-metrics-v1, see\n"
-        "                     docs/observability.md\n"
-        "  --heartbeat-ms N   arm live telemetry and write one heartbeat\n"
-        "                     record every N ms (schema rmrls-metrics-v2:\n"
-        "                     counters, gauges, histograms, uptime) into\n"
-        "                     --metrics-out (stderr without it). In --batch\n"
-        "                     mode each job also gets a trace_id correlated\n"
-        "                     across job records, trace events and the\n"
-        "                     heartbeats' active set\n"
-        "  --progress         human-readable search progress on stderr\n"
-        "\n"
-        "  --help, -h         this text\n"
-        "\n"
-        "Exit codes: 0 success; 2 usage / invalid argument; 3 unreadable\n"
-        "or malformed input; 4 budget exhausted without a circuit;\n"
-        "5 cancelled (SIGINT/SIGTERM/SIGHUP); 6 internal error\n"
-        "(verification failure); 7 server unavailable (rmrls-serve load\n"
-        "shed — retryable, see docs/serving.md).\n";
-}
-
-int usage(const char* argv0) {
-  help(argv0, std::cerr);
-  return 2;
-}
-
-// Numeric option values parse with a diagnostic and exit(2) instead of an
-// uncaught std::invalid_argument abort (same contract as the bench
-// harnesses' --help/--samples parsing in bench/bench_common.hpp).
-[[noreturn]] void bad_number(const std::string& arg, const std::string& v) {
-  std::cerr << "invalid number for " << arg << ": '" << v << "'\n";
-  std::exit(2);
-}
-
-// `min` is the smallest value an option accepts; below it a value is
-// refused like junk instead of being read as "off" or "auto".
-long long num_ll(const std::string& arg, const std::string& v,
-                 long long min = std::numeric_limits<long long>::min()) {
-  try {
-    std::size_t used = 0;
-    const long long n = std::stoll(v, &used);
-    if (used != v.size() || n < min) bad_number(arg, v);
-    return n;
-  } catch (const std::exception&) {
-    bad_number(arg, v);
-  }
-}
-
-// int-typed options: range-checked before narrowing, so an out-of-range
-// value is reported instead of silently wrapping.
-int num_int(const std::string& arg, const std::string& v,
-            int min = std::numeric_limits<int>::min()) {
-  const long long n = num_ll(arg, v, min);
-  if (n > std::numeric_limits<int>::max()) bad_number(arg, v);
-  return static_cast<int>(n);
-}
-
-// uint64 options: std::stoull accepts "-1" and wraps it to 2^64 - 1, so a
-// sign is refused before parsing.
-unsigned long long num_ull(const std::string& arg, const std::string& v) {
-  if (v.find('-') != std::string::npos) bad_number(arg, v);
-  try {
-    std::size_t used = 0;
-    const unsigned long long n = std::stoull(v, &used);
-    if (used != v.size()) bad_number(arg, v);
-    return n;
-  } catch (const std::exception&) {
-    bad_number(arg, v);
-  }
-}
-
-double num_d(const std::string& arg, const std::string& v) {
-  try {
-    std::size_t used = 0;
-    const double n = std::stod(v, &used);
-    if (used != v.size()) bad_number(arg, v);
-    return n;
-  } catch (const std::exception&) {
-    bad_number(arg, v);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -279,6 +77,8 @@ int main(int argc, char** argv) {
   int shard_count = 1;
   std::string checkpoint_file;
   SynthesisOptions options;
+  bool list = false;
+  bool no_extra = false;
   bool run_templates = false;
   bool run_fredkinize = false;
   bool bidirectional = false;
@@ -291,139 +91,193 @@ int main(int argc, char** argv) {
   long long heartbeat_ms = 0;
   bool progress = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << arg << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--perm") {
-      perm_text = next();
-    } else if (arg == "--spec") {
-      spec_file = next();
-    } else if (arg == "--benchmark") {
-      benchmark = next();
-    } else if (arg == "--batch") {
-      batch_file = next();
-    } else if (arg == "--cache-dir") {
-      cache_dir = next();
-    } else if (arg == "--cache-mb") {
-      cache_mb = num_ll(arg, next(), 0);
-    } else if (arg == "--canonical-cap") {
-      canonical_cap = num_int(arg, next(), 0);
-    } else if (arg == "--batch-threads") {
-      batch_threads = num_int(arg, next(), 0);
-    } else if (arg == "--shard") {
-      const std::string v = next();
-      const std::size_t slash = v.find('/');
-      if (slash == std::string::npos) bad_number(arg, v);
-      shard_index = num_int(arg, v.substr(0, slash));
-      shard_count = num_int(arg, v.substr(slash + 1));
-      if (shard_count < 1 || shard_index < 0 || shard_index >= shard_count) {
-        std::cerr << "--shard wants I/N with 0 <= I < N, got '" << v
-                  << "'\n";
-        return usage(argv[0]);
-      }
-    } else if (arg == "--checkpoint") {
-      checkpoint_file = next();
-    } else if (arg == "--cache-gc-mb") {
-      cache_gc_mb = num_ll(arg, next(), 0);
-    } else if (arg == "--list") {
-      for (const std::string& name : suite::benchmark_names()) {
-        std::cout << name << "\n";
-      }
-      return 0;
-    } else if (arg == "--alpha") {
-      options.alpha = num_d(arg, next());
-    } else if (arg == "--beta") {
-      options.beta = num_d(arg, next());
-    } else if (arg == "--gamma") {
-      options.gamma = num_d(arg, next());
-    } else if (arg == "--greedy") {
-      options.greedy_k = num_int(arg, next(), 0);
-    } else if (arg == "--max-gates") {
-      options.max_gates = num_int(arg, next(), 0);
-    } else if (arg == "--max-nodes") {
-      options.max_nodes = num_ull(arg, next());
-    } else if (arg == "--time-ms") {
-      options.time_limit = std::chrono::milliseconds(num_ll(arg, next(), 0));
-    } else if (arg == "--stage-elim") {
-      options.cumulative_elim_priority = false;
-    } else if (arg == "--cumul") {
-      options.cumulative_elim_priority = true;
-    } else if (arg == "--tt") {
-      options.use_transposition_table = true;
-    } else if (arg == "--no-tt") {
-      options.use_transposition_table = false;
-    } else if (arg == "--cbudget") {
-      options.exempt_budget = num_int(arg, next());
-    } else if (arg == "--scope") {
-      const std::string s = next();
-      if (s == "c") {
-        options.exempt_scope = SynthesisOptions::ExemptScope::kComplement;
-      } else if (s == "additional") {
-        options.exempt_scope = SynthesisOptions::ExemptScope::kAdditional;
-      } else if (s == "any") {
-        options.exempt_scope = SynthesisOptions::ExemptScope::kAny;
-      } else {
-        std::cerr << "--scope wants c|additional|any, got '" << s << "'\n";
-        return usage(argv[0]);
-      }
-    } else if (arg == "--restart") {
-      options.restart_interval = num_ull(arg, next());
-    } else if (arg == "--threads") {
-      options.num_threads = num_int(arg, next(), 0);
-    } else if (arg == "--queue") {
-      options.max_queue = static_cast<std::size_t>(num_ll(arg, next(), 1));
-    } else if (arg == "--oversubscribe") {
-      options.allow_oversubscription = true;
-    } else if (arg == "--tt-mb") {
-      options.tt_mb = num_int(arg, next(), 1);
-    } else if (arg == "--no-history") {
-      options.use_history = false;
-    } else if (arg == "--no-id") {
-      options.iterative_deepening = false;
-    } else if (arg == "--dense-threshold") {
-      options.dense_threshold = num_int(arg, next(), 0);
-    } else if (arg == "--first") {
-      options.stop_at_first_solution = true;
-    } else if (arg == "--no-extra") {
-      options.allow_relaxed_targets = false;
-      options.allow_complement = false;
-    } else if (arg == "--templates") {
-      run_templates = true;
-    } else if (arg == "--fredkin") {
-      run_fredkinize = true;
-    } else if (arg == "--bidir") {
-      bidirectional = true;
-    } else if (arg == "--resilient") {
-      resilient_mode = true;
-    } else if (arg == "--no-watchdog") {
-      use_watchdog = false;
-    } else if (arg == "--resynth") {
-      tfc_file = next();
-    } else if (arg == "--tfc") {
-      emit_tfc = true;
-    } else if (arg == "--trace") {
-      trace_file = next();
-    } else if (arg == "--trace-interval") {
-      options.trace_sample_interval = num_ull(arg, next());
-    } else if (arg == "--metrics-out") {
-      metrics_file = next();
-    } else if (arg == "--heartbeat-ms") {
-      heartbeat_ms = num_ll(arg, next(), 1);
-    } else if (arg == "--progress") {
-      progress = true;
-    } else if (arg == "--help" || arg == "-h") {
-      help(argv[0], std::cout);
-      return 0;
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      return usage(argv[0]);
+  FlagTable flags(
+      "(--perm SPEC | --spec FILE | --batch FILE | --benchmark NAME"
+      " | --resynth FILE | --list) [options]");
+  flags.section("Input (exactly one):")
+      .text("--perm", perm_text, "SPEC",
+            "inline permutation, e.g. \"{1, 0, 7, 2, 3, 4, 5, 6}\"")
+      .text("--spec", spec_file, "FILE", "permutation spec file (same syntax)")
+      .text("--batch", batch_file, "FILE",
+            "spec-list file: one permutation per line, '#' comments; jobs"
+            " run concurrently through the orbit cache (docs/caching.md)")
+      .text("--benchmark", benchmark, "NAME",
+            "named function from the paper's suite")
+      .text("--resynth", tfc_file, "FILE",
+            "resynthesize an existing .tfc cascade")
+      .flag("--list", list, "list benchmark names and exit");
+  flags.section("Search options:")
+      .number("--alpha", options.alpha, "X",
+              "eq. (4) priority weight on depth (default 0.3)")
+      .number("--beta", options.beta, "X",
+              "eq. (4) priority weight on terms eliminated (default 0.6)")
+      .number("--gamma", options.gamma, "X",
+              "eq. (4) priority weight on factor literals (default 0.1)")
+      .number("--greedy", options.greedy_k, "K",
+              "keep best K substitutions per variable (0 = all)", 0)
+      .number("--max-gates", options.max_gates, "N",
+              "circuit size cap (0 = unlimited)", 0)
+      .number("--max-nodes", options.max_nodes, "N",
+              "search-node budget (default 200000)")
+      .number("--time-ms", options.time_limit, "N",
+              "wall-clock limit in milliseconds")
+      .flag("--first", options.stop_at_first_solution,
+            "stop at the first valid circuit")
+      .flag("--no-extra", no_extra, "basic substitutions only (Section IV-A)")
+      .custom("--scope", "c|additional|any", "non-reducing substitution scope",
+              [&](std::string_view s) {
+                using Scope = SynthesisOptions::ExemptScope;
+                if (s == "c") {
+                  options.exempt_scope = Scope::kComplement;
+                } else if (s == "additional") {
+                  options.exempt_scope = Scope::kAdditional;
+                } else if (s == "any") {
+                  options.exempt_scope = Scope::kAny;
+                } else {
+                  return false;
+                }
+                return true;
+              })
+      .number("--cbudget", options.exempt_budget, "N",
+              "non-reducing substitutions per path (-1 = auto)")
+      .number("--restart", options.restart_interval, "N",
+              "restart interval in expansions (0 = off)")
+      .number("--queue", options.max_queue, "N",
+              "queued-candidate cap (default 2^20); with --tt-mb this bounds"
+              " the search's resident memory on long runs (overflow counts"
+              " dropped_queue_full)",
+              1)
+      .number("--threads", options.num_threads, "N",
+              "parallel search workers (default 1 = sequential engine,"
+              " bit-reproducible; 0 = one per hardware thread); see"
+              " docs/parallelism.md",
+              0)
+      .flag("--oversubscribe", options.allow_oversubscription,
+            "allow more workers than hardware threads (default: --threads is"
+            " clamped to the core count; oversubscribed lazy SMP only wastes"
+            " time re-deriving peers' states)")
+      .number("--tt-mb", options.tt_mb, "N",
+              "transposition-table memory ceiling in MiB (default 64); the"
+              " table starts at 4 KiB, doubles on demand up to N and only"
+              " then evicts, oldest search pass first; see"
+              " docs/parallelism.md",
+              1)
+      .flag("--no-history", options.use_history,
+            "disable the history heuristic (learned (target, factor-class)"
+            " ordering bonus)",
+            false)
+      .flag("--no-id", options.iterative_deepening,
+            "disable iterative deepening on the gate bound (single"
+            " full-depth pass)",
+            false)
+      .number("--dense-threshold", options.dense_threshold, "N",
+              "widest system (in variables) eligible for the word-parallel"
+              " dense spectrum kernel (default 14, 0 = always sparse); see"
+              " docs/dense_pprm.md",
+              0)
+      .flag("--tt", options.use_transposition_table,
+            "transposition table on (the default)")
+      .flag("--no-tt", options.use_transposition_table,
+            "transposition table off", false)
+      .flag("--cumul", options.cumulative_elim_priority,
+            "cumulative elimination priority")
+      .flag("--stage-elim", options.cumulative_elim_priority,
+            "per-stage elimination priority (the default)", false);
+  flags.section("Caching and batch throughput (docs/caching.md):")
+      .number("--cache-mb", cache_mb, "N",
+              "in-memory orbit-cache budget in MiB (0 = off; default 64 in"
+              " --batch mode, otherwise 0, or 64 when --cache-dir is given)",
+              0, kMaxMebibytes)
+      .text("--cache-dir", cache_dir, "DIR",
+            "on-disk circuit store (one .tfc per canonical key); persists"
+            " cache entries across runs")
+      .number("--canonical-cap", canonical_cap, "N",
+              "widest spec (in variables) canonicalized to its orbit"
+              " representative (default 12); wider specs are cached by exact"
+              " identity only",
+              0)
+      .number("--batch-threads", batch_threads, "N",
+              "concurrent jobs in --batch mode (0 = auto: min(jobs,"
+              " --threads), leftover threads go to each search;"
+              " docs/parallelism.md). --time-ms bounds the *whole batch*"
+              " under one watchdog.",
+              0);
+  flags.section("Fleet scale-out (docs/fleet.md, --batch mode only):")
+      .custom("--shard", "I/N",
+              "run only shard I of N (0-based, I < N): each spec line is"
+              " assigned to exactly one shard by a stable content hash, so N"
+              " processes over the same file partition it without"
+              " coordination",
+              [&](std::string_view v) {
+                const std::size_t slash = v.find('/');
+                return slash != std::string_view::npos &&
+                       parse_number(v.substr(0, slash), shard_index, 0) &&
+                       parse_number(v.substr(slash + 1), shard_count, 1) &&
+                       shard_index < shard_count;
+              })
+      .text("--checkpoint", checkpoint_file, "FILE",
+            "record completed job ids (tmp+rename); on restart those jobs"
+            " are skipped and the run resumes where the dead one stopped")
+      .number("--cache-gc-mb", cache_gc_mb, "N",
+              "byte budget of the --cache-dir store in MiB (0 = unbounded);"
+              " oldest .tfc files are garbage-collected past it, and stale"
+              " lease/tmp litter from dead processes is swept",
+              0, kMaxMebibytes);
+  flags.section("Resilience (docs/robustness.md):")
+      .flag("--resilient", resilient_mode,
+            "fallback cascade: best-first, then greedy, then"
+            " transformation-based; the winner is verified and labelled in"
+            " the metrics. With --time-ms the whole cascade shares the"
+            " wall-clock budget under a watchdog.")
+      .flag("--no-watchdog", use_watchdog,
+            "enforce --time-ms cooperatively only (no watchdog thread)",
+            false);
+  flags.section("Post-processing and output:")
+      .flag("--templates", run_templates,
+            "post-process with the template pass")
+      .flag("--fredkin", run_fredkinize,
+            "extract Fredkin gates (mixed output)")
+      .flag("--bidir", bidirectional, "also try the inverse direction")
+      .flag("--tfc", emit_tfc, "print the circuit in .tfc format");
+  flags.section("Observability:")
+      .text("--trace", trace_file, "FILE",
+            "write typed search events as JSONL")
+      .number("--trace-interval", options.trace_sample_interval, "N",
+              "sample node-expansion/prune events every Nth expansion"
+              " (default 1 = every event)")
+      .text("--metrics-out", metrics_file, "FILE",
+            "write one JSON metrics record (counters, per-phase timings,"
+            " termination reason, circuit stats); schema rmrls-metrics-v1,"
+            " see docs/observability.md")
+      .number("--heartbeat-ms", heartbeat_ms, "N",
+              "arm live telemetry and write one heartbeat record every N ms"
+              " (schema rmrls-metrics-v2: counters, gauges, histograms,"
+              " uptime) into --metrics-out (stderr without it). In --batch"
+              " mode each job also gets a trace_id correlated across job"
+              " records, trace events and the heartbeats' active set",
+              1)
+      .flag("--progress", progress,
+            "human-readable search progress on stderr");
+  flags.footer(
+      "Exit codes: 0 success; 2 usage / invalid argument; 3 unreadable\n"
+      "or malformed input; 4 budget exhausted without a circuit;\n"
+      "5 cancelled (SIGINT/SIGTERM/SIGHUP); 6 internal error\n"
+      "(verification failure); 7 server unavailable (rmrls-serve load\n"
+      "shed — retryable, see docs/serving.md).");
+  flags.parse(argc, argv);
+  const auto usage = [&] {
+    flags.print_help(std::cerr, argv[0]);
+    return 2;
+  };
+  if (list) {
+    for (const std::string& name : suite::benchmark_names()) {
+      std::cout << name << "\n";
     }
+    return 0;
+  }
+  if (no_extra) {
+    options.allow_relaxed_targets = false;
+    options.allow_complement = false;
   }
 
   try {
@@ -487,7 +341,7 @@ int main(int argc, char** argv) {
       if (!perm_text.empty() || !spec_file.empty() || !benchmark.empty() ||
           !tfc_file.empty()) {
         std::cerr << "error: --batch cannot be combined with another input\n";
-        return usage(argv[0]);
+        return usage();
       }
       std::ifstream in(batch_file);
       if (!in) {
@@ -578,31 +432,13 @@ int main(int argc, char** argv) {
         std::int64_t total_cost = 0;
         for (const BatchJobOutcome& job : br.outcomes) {
           if (job.skipped) continue;  // emitted by the run that completed it
-          MetricsRegistry record;
-          record.set("name", job.name)
-              .set("vars", job.result.circuit.num_lines())
-              .set("success", job.status.ok());
-          if (job.trace_id != 0) {
-            // Span correlation (docs/observability.md): the same 16-hex id
-            // this job's trace events and the heartbeats' active set carry.
-            record.set("trace_id", trace_id_hex(job.trace_id));
-          }
-          record.add_stats(job.result.stats, job.result.termination);
-          record.set("fallback_engine",
-                     std::string_view(to_string(job.engine)));
-          record.set("verified", job.verified);
-          record.set("cache_hit", job.cache_hit)
-              .set("cache_orbit_hit", job.orbit_hit)
-              .set("batch_deduped", job.deduped);
+          writer.write(job_metrics(job.name, job.result.circuit.num_lines(),
+                                   job, job.trace_id));
           if (job.status.ok()) {
-            record.add_circuit(job.result.circuit);
             total_gates += job.result.circuit.gate_count();
             total_cost +=
                 static_cast<std::int64_t>(quantum_cost(job.result.circuit));
-          } else {
-            record.set("gates", -1).set("quantum_cost", -1);
           }
-          writer.write(record);
         }
         // One summary record carrying the batch-level counters; gates is
         // the total across jobs so the success/gates invariant holds.
@@ -691,7 +527,7 @@ int main(int argc, char** argv) {
       }
       input_name = benchmark;
     } else {
-      return usage(argv[0]);
+      return usage();
     }
 
     // Ctrl-C / SIGTERM / SIGHUP cancel cooperatively from here on (user
