@@ -11,8 +11,7 @@
 ///
 ///   sequential  one job at a time through synthesize_resilient, no cache
 ///               (the pre-batch behaviour)
-///   batch       run_batch with the orbit cache and the two-level thread
-///               split
+///   batch       run_batch with the orbit cache, `--threads` jobs at once
 ///
 /// and reports jobs/s for both, the speedup, the cache counters, and the
 /// mean cache-hit service latency vs the mean cold synthesis latency.
@@ -49,6 +48,7 @@ struct Args {
   double dup_frac = 0.5;  // fraction of jobs that are orbit repeats
   long long cache_mb = 64;
   std::string workload;  // spec-list file; empty = generated workload
+  int threads = 1;       // concurrent batch jobs
 };
 
 Args parse_args(int argc, char** argv) {
@@ -65,7 +65,11 @@ Args parse_args(int argc, char** argv) {
               "cache budget in MiB for the batch run (default 64)", 0,
               kMaxMebibytes)
       .text("--workload", a.workload, "FILE",
-            "spec-list file instead of the generated workload");
+            "spec-list file instead of the generated workload")
+      .number("--threads", a.threads, "N",
+              "batch jobs run at once (default 1; 0 = one per hardware"
+              " thread)",
+              0);
   a.common.declare(flags);
   flags.parse(argc, argv);
   a.dup_frac = std::clamp(a.dup_frac, 0.0, 1.0);
@@ -154,7 +158,6 @@ int main(int argc, char** argv) {
   ResilienceOptions base;
   if (args.common.max_nodes) base.search.max_nodes = args.common.max_nodes;
   args.common.apply(base.search);
-  base.search.num_threads = 1;  // per-job threading set by the split below
 
   // Baseline: one job at a time, no cache, no canonicalization.
   const auto seq_start = Clock::now();
@@ -175,7 +178,7 @@ int main(int argc, char** argv) {
   SynthCache cache(cache_options);
   BatchOptions batch_options;
   batch_options.resilience = base;
-  batch_options.total_threads = args.common.threads;
+  batch_options.total_threads = args.threads;
   if (args.cache_mb > 0) batch_options.cache = &cache;
   const auto batch_start = Clock::now();
   const BatchResult br = run_batch(jobs, batch_options);

@@ -33,11 +33,10 @@ struct BenchArgs {
   /// registry disabled; N > 0 arms it and streams rmrls-metrics-v2
   /// heartbeats to stderr every N ms while the harness runs.
   long long heartbeat_ms = 0;
-  int threads = 1;  // search workers (docs/parallelism.md)
   /// Dense-kernel width cap (docs/dense_pprm.md): -1 = keep the library
   /// default, 0 = force sparse, N > 0 = dense up to N variables.
   int dense_threshold = -1;
-  /// Search-core knobs (docs/parallelism.md): transposition-table budget,
+  /// Search-core knobs (docs/search_tables.md): transposition-table budget,
   /// plus the history and iterative-deepening kill switches the ablation
   /// harness flips.
   int tt_mb = 0;  // 0 = library default
@@ -46,7 +45,6 @@ struct BenchArgs {
 
   /// Copies the flags that map one-to-one onto SynthesisOptions fields.
   void apply(SynthesisOptions& options) const {
-    options.num_threads = threads;
     if (dense_threshold >= 0) options.dense_threshold = dense_threshold;
     if (tt_mb > 0) options.tt_mb = tt_mb;
     options.use_history = use_history;
@@ -66,10 +64,6 @@ struct BenchArgs {
                 "stream live telemetry heartbeats (rmrls-metrics-v2) to"
                 " stderr every N ms",
                 1)
-        .number("--threads", threads, "N",
-                "parallel search workers (1 = sequential, 0 = one per"
-                " hardware thread)",
-                0)
         .number("--dense-threshold", dense_threshold, "N",
                 "widest system run on the dense spectrum kernel (-1 ="
                 " library default, 0 = always sparse)",

@@ -38,7 +38,7 @@ inline int run_scalability_table(const char* title, int max_gate_count,
   options.max_nodes = args.max_nodes ? args.max_nodes : default_nodes;
   options.stop_at_first_solution = true;
   options.greedy_k = 4;  // the paper's greedy option
-  args.apply(options);   // --threads, --dense-threshold
+  args.apply(options);   // --dense-threshold, --tt-mb, kill switches
 
   std::cout << "=== " << title << " ===\n"
             << samples << " random GT cascades per variable count (paper: "

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
   SynthesisOptions options;
   options.max_nodes = args.max_nodes ? args.max_nodes : 20000;
-  args.apply(options);  // --threads, --dense-threshold
+  args.apply(options);  // --dense-threshold, --tt-mb, kill switches
 
   std::cout << "=== Table I: three-variable reversible functions ===\n"
             << (args.full ? "all 40320 functions"

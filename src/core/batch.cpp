@@ -85,7 +85,7 @@ std::chrono::milliseconds remaining_deadline(const BatchContext& ctx) {
   return std::max(std::chrono::milliseconds{1}, left);
 }
 
-ResilienceOptions job_resilience(const BatchContext& ctx, int search_threads,
+ResilienceOptions job_resilience(const BatchContext& ctx,
                                  std::uint64_t trace_id) {
   ResilienceOptions r = ctx.options->resilience;
   r.cancel_token = ctx.token;
@@ -93,7 +93,6 @@ ResilienceOptions job_resilience(const BatchContext& ctx, int search_threads,
   // against whatever batch time is left (docs/robustness.md).
   r.use_watchdog = false;
   r.deadline = remaining_deadline(ctx);
-  r.search.num_threads = search_threads;
   r.search.trace_id = trace_id;
   return r;
 }
@@ -111,7 +110,7 @@ bool adopt_verified(CachedSynthesisOutcome& out, const Pprm& spec_pprm,
   return true;
 }
 
-void run_one_job(BatchContext& ctx, std::size_t index, int search_threads) {
+void run_one_job(BatchContext& ctx, std::size_t index) {
   const BatchJob& job = (*ctx.jobs)[index];
   BatchJobOutcome& out = (*ctx.outcomes)[index];
   out.name = job.name;
@@ -154,11 +153,11 @@ void run_one_job(BatchContext& ctx, std::size_t index, int search_threads) {
 
   static_cast<CachedSynthesisOutcome&>(out) = synthesize_cached(
       job.spec, ctx.options->cache, ctx.options->canonical,
-      job_resilience(ctx, search_threads, trace_id));
+      job_resilience(ctx, trace_id));
   finish();
 }
 
-void worker_loop(BatchContext& ctx, int search_threads) {
+void worker_loop(BatchContext& ctx) {
   while (true) {
     const std::size_t index =
         ctx.next.fetch_add(1, std::memory_order_relaxed);
@@ -191,7 +190,7 @@ void worker_loop(BatchContext& ctx, int search_threads) {
       ++ctx.stats.failed;
       continue;
     }
-    run_one_job(ctx, index, search_threads);
+    run_one_job(ctx, index);
     if (cp != nullptr && !job.id.empty() &&
         (*ctx.outcomes)[index].status.ok()) {
       // Marked only on success — a failed job is retried on resume. The
@@ -291,17 +290,6 @@ CachedSynthesisOutcome synthesize_cached(const TruthTable& spec,
   return out;
 }
 
-ThreadSplit split_threads(int total, int batch_threads, std::size_t jobs) {
-  ThreadSplit split;
-  const int resolved = resolve_total(total);
-  const int job_cap = static_cast<int>(std::max<std::size_t>(1, jobs));
-  split.batch_threads =
-      batch_threads > 0 ? std::min(batch_threads, job_cap)
-                        : std::max(1, std::min(resolved, job_cap));
-  split.search_threads = std::max(1, resolved / split.batch_threads);
-  return split;
-}
-
 void assign_job_ids(std::vector<BatchJob>& jobs) {
   std::unordered_map<std::uint64_t, std::uint64_t> occurrence;
   for (BatchJob& job : jobs) {
@@ -353,17 +341,16 @@ BatchResult run_batch(const std::vector<BatchJob>& jobs,
     watchdog = std::make_unique<Watchdog>(*token, options.deadline);
   }
 
-  const ThreadSplit split =
-      split_threads(options.total_threads, options.batch_threads, jobs.size());
+  const std::size_t job_threads = std::min<std::size_t>(
+      static_cast<std::size_t>(resolve_total(options.total_threads)),
+      jobs.size());
 
   // Concurrent jobs would otherwise drive the caller's (single-threaded)
   // sink from several worker threads at once; one lock at the fan-in point
-  // keeps every existing sink implementation valid (same idiom as the
-  // parallel engine's per-run wrap in core/parallel.cpp).
+  // keeps every existing sink implementation valid.
   BatchOptions opts = options;
   SyncTraceSink synced_sink(opts.resilience.search.trace_sink);
-  if (opts.resilience.search.trace_sink != nullptr &&
-      split.batch_threads > 1) {
+  if (opts.resilience.search.trace_sink != nullptr && job_threads > 1) {
     opts.resilience.search.trace_sink = &synced_sink;
   }
 
@@ -383,14 +370,13 @@ BatchResult run_batch(const std::vector<BatchJob>& jobs,
         .set(static_cast<std::int64_t>(jobs.size()));
   }
 
-  if (split.batch_threads <= 1) {
-    worker_loop(ctx, split.search_threads);
+  if (job_threads <= 1) {
+    worker_loop(ctx);
   } else {
     std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(split.batch_threads));
-    for (int t = 0; t < split.batch_threads; ++t) {
-      workers.emplace_back(
-          [&ctx, &split] { worker_loop(ctx, split.search_threads); });
+    workers.reserve(job_threads);
+    for (std::size_t t = 0; t < job_threads; ++t) {
+      workers.emplace_back([&ctx] { worker_loop(ctx); });
     }
     for (std::thread& w : workers) w.join();
   }

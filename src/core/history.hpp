@@ -1,5 +1,5 @@
 /// \file history.hpp
-/// \brief History heuristic for factor ordering (docs/parallelism.md).
+/// \brief History heuristic for factor ordering (docs/search_tables.md).
 ///
 /// The chess history heuristic, transplanted: substitutions that appear on
 /// recorded solution paths earn credit, indexed by (target variable,
@@ -17,17 +17,14 @@
 ///     seeds the next iteration's move ordering".
 /// decay() halves every score between passes so stale preferences fade.
 ///
-/// All cells are relaxed atomics: lazy-SMP workers share one table and a
-/// lost update just loses a sliver of credit. Single-threaded runs see
-/// their own writes in order, so sequential synthesis stays deterministic
-/// (pinned in tests/test_tt_replacement). `--no-history`
-/// (SynthesisOptions::use_history = false) restores the paper-exact
-/// eq. (4) ordering.
+/// One synthesize() call owns the table and uses it from one thread, so
+/// synthesis stays deterministic (pinned in tests/test_tt_replacement).
+/// `--no-history` (SynthesisOptions::use_history = false) restores the
+/// paper-exact eq. (4) ordering.
 
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 
 #include "rev/cube.hpp"
@@ -44,40 +41,25 @@ class HistoryTable {
   /// larger amounts (they are stronger evidence). Saturates instead of
   /// wrapping.
   void reward(int target, Cube factor, std::uint32_t amount) {
-    std::atomic<std::uint32_t>& cell = scores_[index_of(target, factor)];
-    std::uint32_t cur = cell.load(std::memory_order_relaxed);
-    std::uint32_t next;
-    do {
-      next = cur > kSaturation - amount ? kSaturation : cur + amount;
-    } while (!cell.compare_exchange_weak(cur, next,
-                                         std::memory_order_relaxed));
-    std::uint32_t max = max_.load(std::memory_order_relaxed);
-    while (next > max &&
-           !max_.compare_exchange_weak(max, next,
-                                       std::memory_order_relaxed)) {
-    }
+    std::uint32_t& cell = scores_[index_of(target, factor)];
+    cell = cell > kSaturation - amount ? kSaturation : cell + amount;
+    if (cell > max_) max_ = cell;
   }
 
   /// Normalized success score in [0, 1]; 0 when this (target, class) has
   /// never been on a solution path.
   [[nodiscard]] double bonus(int target, Cube factor) const {
-    const std::uint32_t max = max_.load(std::memory_order_relaxed);
-    if (max == 0) return 0.0;
-    const std::uint32_t s =
-        scores_[index_of(target, factor)].load(std::memory_order_relaxed);
-    return static_cast<double>(s) / static_cast<double>(max);
+    if (max_ == 0) return 0.0;
+    return static_cast<double>(scores_[index_of(target, factor)]) /
+           static_cast<double>(max_);
   }
 
   /// Halves every score (and the running max) — called by the driver
   /// between passes so old iterations' preferences decay instead of
   /// dominating forever.
   void decay() {
-    for (std::atomic<std::uint32_t>& cell : scores_) {
-      cell.store(cell.load(std::memory_order_relaxed) / 2,
-                 std::memory_order_relaxed);
-    }
-    max_.store(max_.load(std::memory_order_relaxed) / 2,
-               std::memory_order_relaxed);
+    for (std::uint32_t& cell : scores_) cell /= 2;
+    max_ /= 2;
   }
 
  private:
@@ -92,9 +74,8 @@ class HistoryTable {
            cls;
   }
 
-  std::array<std::atomic<std::uint32_t>, kMaxTargets * kFactorClasses>
-      scores_{};
-  std::atomic<std::uint32_t> max_{0};
+  std::array<std::uint32_t, kMaxTargets * kFactorClasses> scores_{};
+  std::uint32_t max_ = 0;
 };
 
 }  // namespace rmrls

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace rmrls {
 
@@ -132,23 +131,6 @@ struct SynthesisOptions {
   /// when the caller fixed max_gates.
   bool iterative_deepening = true;
 
-  /// Deterministic priority-jitter seed for lazy-SMP order
-  /// diversification (docs/parallelism.md). 0 (the default, and always
-  /// for worker 0) adds no noise; the parallel engine gives every other
-  /// worker a distinct seed so the workers explore the shared tree in
-  /// different orders instead of racing down one line.
-  std::uint64_t order_jitter = 0;
-
-  /// Owner tag this engine writes into shared transposition-table entries;
-  /// with tt_own_only set, also the only tag whose entries prune it (a
-  /// foreign claim is taken over and re-expanded). The parallel engine
-  /// marks its canonical worker — and the root expansion that feeds every
-  /// worker — with a nonzero tag and tt_own_only, so helper claims divert
-  /// helpers but can never cut the sequential line short
-  /// (core/transposition.hpp).
-  std::uint8_t tt_owner = 0;
-  bool tt_own_only = false;
-
   /// Ablation variant of eq. (4): use cumulative terms eliminated since the
   /// root divided by depth, instead of the per-stage elimination the
   /// pseudocode stores.
@@ -190,25 +172,6 @@ struct SynthesisOptions {
   /// one kCancelled. Null (the default) disables the polls entirely.
   CancelToken* cancel_token = nullptr;
 
-  /// Worker threads of the parallel engine (docs/parallelism.md). 1 (the
-  /// default) runs the exact sequential search — bit-identical results.
-  /// N > 1 runs lazy-SMP: every worker searches the full root with its
-  /// own heap, node arena and Pprm pool but a diversified seed order and
-  /// priority jitter, sharing the best-depth bound, the node budget, the
-  /// bounded transposition table and the history table. 0 means "one
-  /// worker per hardware thread". Parallel results are valid circuits
-  /// but not bit-reproducible run to run (the bound race affects pruning).
-  int num_threads = 1;
-
-  /// Lazy-SMP duplicates exploration by design, so running more workers
-  /// than hardware threads is strictly harmful: the workers time-slice
-  /// the cores and re-derive each other's states instead of advancing.
-  /// By default the effective worker count is therefore clamped to
-  /// std::thread::hardware_concurrency(). Tests that exercise the
-  /// multi-worker code paths on small machines set this to true to get
-  /// exactly `num_threads` workers regardless of the host.
-  bool allow_oversubscription = false;
-
   /// Widest system (in variables) the engine may run on the dense
   /// word-parallel PPRM kernel (rev/pprm_dense.hpp, docs/dense_pprm.md).
   /// At or below this width — and when the spectrum is dense enough for
@@ -217,8 +180,7 @@ struct SynthesisOptions {
   /// shift/mask/XOR passes instead of cube merges; circuits are
   /// bit-identical to the sparse engine's by construction (same candidate
   /// order, deltas, and state hashes). 0 forces the sparse representation
-  /// everywhere. Parallel workers inherit the pass's kernel choice
-  /// (docs/parallelism.md).
+  /// everywhere.
   int dense_threshold = 14;
 
   /// Our extension (ablated in bench/ablation): after a circuit of size D
@@ -282,15 +244,6 @@ struct SynthesisStats {
   std::uint64_t dropped_queue_full = 0;
   std::uint64_t restarts = 0;
   std::uint64_t solutions_found = 0;
-  /// Worker threads that executed search passes for this run: 1 for the
-  /// sequential engine, SynthesisOptions::num_threads (resolved) for the
-  /// parallel one. Driver passes take the maximum across their sub-runs.
-  std::uint64_t workers = 1;
-  /// Duplicate hits per lock stripe of the shared transposition table
-  /// (TranspositionTable::kStripes entries; parallel engine only, empty
-  /// for sequential runs, where every duplicate is in pruned_duplicate).
-  /// Summed element-wise when runs accumulate.
-  std::vector<std::uint64_t> tt_shard_hits;
   /// Transposition-table traffic of this run (core/transposition.hpp):
   /// entries written (fresh slots + evicting replacements) and entries
   /// evicted at the table's memory ceiling. Always evictions <= inserts, an
@@ -302,8 +255,8 @@ struct SynthesisStats {
   /// 256) the shared table has served. Merged by maximum.
   std::uint64_t tt_generation = 0;
   /// Iterative-deepening ladder passes the driver executed (>= 1; plain
-  /// engine runs count as one). Merged by maximum: parallel workers and
-  /// cascade stages report their driver's ladder, not a sum of ladders.
+  /// engine runs count as one). Merged by maximum: cascade stages report
+  /// their driver's ladder, not a sum of ladders.
   std::uint64_t id_iterations = 1;
   /// Candidates whose eq.-4 priority received a non-zero history bonus
   /// (core/history.hpp). 0 when use_history is off or nothing has been
@@ -314,8 +267,7 @@ struct SynthesisStats {
   /// nodes_expanded, which keeps counting while refinement hunts for
   /// something better. 0 when no circuit was found. Maintained by the
   /// drivers (accumulate_stats leaves it alone: only the layer that knows
-  /// which sub-run's circuit won can offset it); under lazy SMP it is the
-  /// winning worker's local count, a lower bound on the pass total.
+  /// which sub-run's circuit won can offset it).
   std::uint64_t nodes_at_best = 0;
   /// True if any search pass of this run used the dense word-parallel
   /// PPRM kernel (SynthesisOptions::dense_threshold).
@@ -337,10 +289,8 @@ struct SynthesisStats {
 };
 
 /// Accumulates `from` into `into`. Used by the multi-pass drivers
-/// (refinement, bidirectional) and the parallel engine when merging
-/// sub-run counters: counts and elapsed add; `workers` takes the maximum
-/// (sub-runs of one driver pass share the same pool); `tt_shard_hits`
-/// merges element-wise.
+/// (refinement, bidirectional) when merging sub-run counters: counts and
+/// elapsed add.
 inline void accumulate_stats(SynthesisStats& into, const SynthesisStats& from) {
   into.nodes_expanded += from.nodes_expanded;
   into.children_created += from.children_created;
@@ -363,7 +313,6 @@ inline void accumulate_stats(SynthesisStats& into, const SynthesisStats& from) {
     into.id_iterations = from.id_iterations;
   }
   into.history_hits += from.history_hits;
-  if (from.workers > into.workers) into.workers = from.workers;
   // A kernel disagreement between the merged runs is a representation
   // switch; dense_kernel then means "any pass ran dense".
   into.representation_switches += from.representation_switches;
@@ -371,14 +320,6 @@ inline void accumulate_stats(SynthesisStats& into, const SynthesisStats& from) {
   into.dense_kernel |= from.dense_kernel;
   into.cancelled |= from.cancelled;
   into.watchdog_fired |= from.watchdog_fired;
-  if (!from.tt_shard_hits.empty()) {
-    if (into.tt_shard_hits.size() < from.tt_shard_hits.size()) {
-      into.tt_shard_hits.resize(from.tt_shard_hits.size(), 0);
-    }
-    for (std::size_t i = 0; i < from.tt_shard_hits.size(); ++i) {
-      into.tt_shard_hits[i] += from.tt_shard_hits[i];
-    }
-  }
   into.elapsed += from.elapsed;
 }
 

@@ -4,18 +4,10 @@
 #include <chrono>
 #include <limits>
 
-#include "core/parallel.hpp"
-
 namespace rmrls {
 
 namespace {
 using Clock = std::chrono::steady_clock;
-
-/// Amplitude of the lazy-SMP priority jitter (options.order_jitter):
-/// comparable to one gamma-weighted literal — enough to reorder
-/// near-ties between workers, never enough to override a clear eq.-4
-/// preference.
-constexpr double kJitterAmplitude = 0.03;
 
 /// Weight of the normalized history bonus added to eq. (4). Small by
 /// design: history breaks ties and nudges, it never overrides a clear
@@ -31,15 +23,11 @@ constexpr std::uint32_t kProgressReward = 4;
 }
 
 template <class Rep>
-BasicSearch<Rep>::BasicSearch(Rep start, SynthesisOptions options,
-                              std::vector<BasicRootSeed<Rep>> seeds,
-                              detail::SharedSearchContext* shared)
+BasicSearch<Rep>::BasicSearch(Rep start, SynthesisOptions options)
     : start_(std::move(start)),
       options_(options),
       num_vars_(start_.num_vars()),
       initial_terms_(start_.term_count()),
-      shared_(shared),
-      seeds_(std::move(seeds)),
       tt_(options.tt),
       history_(options.history),
       cancel_(options.cancel_token),
@@ -65,11 +53,8 @@ void BasicSearch<Rep>::init_telemetry() {
 
 template <class Rep>
 void BasicSearch<Rep>::sample_telemetry() {
-  // Workers of one parallel pass all write these gauges; last writer wins,
-  // which is fine for an instantaneous "what is the engine doing" signal.
-  // The TT gauges are point-in-time sums over the table's stripes —
-  // sequential and lazy-SMP passes read the same bounded table either
-  // way.
+  // Concurrent batch jobs all write these gauges; last writer wins, which
+  // is fine for an instantaneous "what is the engine doing" signal.
   tele_queue_->set(static_cast<std::int64_t>(heap_.size()));
   if (tt_ != nullptr) {
     const TranspositionTable::Snapshot tt = tt_->snapshot();
@@ -79,12 +64,6 @@ void BasicSearch<Rep>::sample_telemetry() {
     tele_tt_generation_->set(static_cast<std::int64_t>(tt_->generation()));
   }
   tele_history_hits_->set(static_cast<std::int64_t>(stats_.history_hits));
-}
-
-template <class Rep>
-int BasicSearch<Rep>::bound() const {
-  if (shared_ == nullptr) return best_depth_;
-  return shared_->bound.get();
 }
 
 template <class Rep>
@@ -136,20 +115,6 @@ double BasicSearch<Rep>::priority_of(int depth, int elim_stage, int elim_total,
       p += kHistoryWeight * bonus;
     }
   }
-  if (options_.order_jitter != 0) {
-    // Deterministic per-(worker, candidate) noise in [0, kJitterAmplitude):
-    // the lazy-SMP order diversification (docs/parallelism.md). Seeded
-    // from the worker's jitter seed and the candidate identity only, so a
-    // given worker re-prices a candidate identically every time.
-    const std::uint64_t mix = splitmix64(
-        options_.order_jitter ^ static_cast<std::uint64_t>(factor) ^
-        (static_cast<std::uint64_t>(static_cast<unsigned>(target)) << 56) ^
-        (static_cast<std::uint64_t>(static_cast<unsigned>(depth)) *
-         0x9e3779b97f4a7c15ull));
-    p += kJitterAmplitude *
-         (static_cast<double>(mix >> 40) /
-          static_cast<double>(std::uint64_t{1} << 24));
-  }
   return p;
 }
 
@@ -172,13 +137,7 @@ template <class Rep>
 bool BasicSearch<Rep>::record_solution(std::int32_t parent, const Gate& gate,
                                        int child_depth,
                                        std::uint8_t exempt_count) {
-  // In shared mode only the worker that wins the atomic bound race records
-  // the circuit — a loser's solution is at/beyond a depth some peer
-  // already realized.
-  const bool record = shared_ != nullptr
-                          ? shared_->bound.try_improve(child_depth)
-                          : best_depth_ < 0 || child_depth < best_depth_;
-  if (!record) return false;
+  if (best_depth_ >= 0 && child_depth >= best_depth_) return false;
   reward_solution_path(parent, gate, child_depth);
   arena_.push_back({parent, gate, child_depth, exempt_count, false});
   best_node_ = static_cast<std::int32_t>(arena_.size()) - 1;
@@ -282,9 +241,6 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
     if (record_solution(entry.node, Gate(ce.cand.factor, ce.cand.target),
                         child_depth, node.exempt_count)) {
       if (options_.stop_at_first_solution) {
-        if (shared_ != nullptr) {
-          shared_->stop.store(true, std::memory_order_release);
-        }
         termination_ = TerminationReason::kSolved;
         pool_.release(std::move(entry.state));
         return true;
@@ -361,8 +317,7 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
       emit_prune(PruneReason::kElim, child_depth, ce.terms);
       continue;
     }
-    const int bd = bound();
-    if (bd >= 0 && child_depth >= bd - 1) {
+    if (best_depth_ >= 0 && child_depth >= best_depth_ - 1) {
       ++stats_.pruned_depth;
       emit_prune(PruneReason::kDepth, child_depth, ce.terms);
       continue;
@@ -381,12 +336,9 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
                                   materialized);
     }
     if (tt_ != nullptr) {
-      // One bounded table serves both engines: sequential passes and
-      // lazy-SMP workers go through the same generation-aware depth rule
-      // (core/transposition.hpp); a shallower rediscovery overwrites and
-      // re-expands, never prunes.
-      if (tt_->check_and_insert(materialized.hash(), child_depth,
-                                options_.tt_owner, options_.tt_own_only)) {
+      // The generation-aware depth rule of core/transposition.hpp: a
+      // shallower rediscovery overwrites and re-expands, never prunes.
+      if (tt_->check_and_insert(materialized.hash(), child_depth)) {
         ++stats_.pruned_duplicate;
         emit_prune(PruneReason::kDuplicate, child_depth, ce.terms);
         pool_.release(std::move(materialized));
@@ -447,45 +399,6 @@ void BasicSearch<Rep>::restart() {
 }
 
 template <class Rep>
-BasicRootExpansion<Rep> BasicSearch<Rep>::expand_root(
-    const Rep& start, const SynthesisOptions& options) {
-  // One pop (the root) through the regular engine, then harvest: the
-  // sequential and parallel engines price, prune and count first-level
-  // children identically by construction.
-  SynthesisOptions root_options = options;
-  root_options.max_nodes = 1;
-  BasicSearch<Rep> search(start, root_options);
-  const SynthesisResult r = search.run();
-  BasicRootExpansion<Rep> root;
-  root.stats = r.stats;
-  if (start.is_identity()) {
-    root.identity = true;
-    return root;
-  }
-  if (search.best_node_ >= 0) {
-    root.solved = true;
-    root.solution_gate = search.arena_[search.best_node_].gate;
-  }
-  root.seeds.reserve(search.root_children_.size());
-  for (QueueEntry& e : search.root_children_) {
-    const NodeRecord& node = search.arena_[e.node];
-    BasicRootSeed<Rep> seed;
-    seed.gate = node.gate;
-    seed.priority = e.priority;
-    seed.terms = e.terms;
-    seed.exempt_count = node.exempt_count;
-    seed.exempt = node.exempt;
-    seed.state = std::move(e.state);
-    root.seeds.push_back(std::move(seed));
-  }
-  std::stable_sort(root.seeds.begin(), root.seeds.end(),
-                   [](const BasicRootSeed<Rep>& a, const BasicRootSeed<Rep>& b) {
-                     return a.priority > b.priority;
-                   });
-  return root;
-}
-
-template <class Rep>
 SynthesisResult BasicSearch<Rep>::run() {
   SynthesisResult result;
   result.initial_terms = initial_terms_;
@@ -494,11 +407,9 @@ SynthesisResult BasicSearch<Rep>::run() {
     deadline_ = run_start_ + options_.time_limit;
     deadline_armed_ = true;
   }
-  // Sequential runs report the table-traffic delta of this run; a shared
-  // (possibly pass-spanning) table may already hold counters from earlier
-  // passes. Lazy-SMP workers skip this — the parallel engine accounts the
-  // whole pass once (parallel.cpp).
-  if (tt_ != nullptr && shared_ == nullptr) tt_before_ = tt_->snapshot();
+  // Report the table-traffic delta of this run: the pass-spanning table
+  // may already hold counters from earlier passes.
+  if (tt_ != nullptr) tt_before_ = tt_->snapshot();
 
   {
     TraceEvent e;
@@ -521,48 +432,18 @@ SynthesisResult BasicSearch<Rep>::run() {
   }
 
   arena_.push_back({-1, Gate(), 0, 0, false});
-  if (seeds_.empty()) {
-    QueueEntry root;
-    root.priority = std::numeric_limits<double>::infinity();
-    root.seq = next_seq_++;
-    root.node = 0;
-    root.terms = initial_terms_;
-    root.state = start_;
-    push_uncounted(std::move(root));  // the root is not a child
-  } else {
-    // Worker mode: adopt the pre-expanded first-level subtrees. They were
-    // counted (children_created / children_pushed) by the root expansion,
-    // and they arrive sorted by descending priority, so the restart
-    // heuristic indexes into them directly.
-    root_children_.reserve(seeds_.size());
-    for (BasicRootSeed<Rep>& seed : seeds_) {
-      arena_.push_back({0, seed.gate, 1, seed.exempt_count, seed.exempt});
-      QueueEntry e;
-      e.priority = seed.priority;
-      e.seq = next_seq_++;
-      e.node = static_cast<std::int32_t>(arena_.size()) - 1;
-      e.terms = seed.terms;
-      e.state = std::move(seed.state);
-      root_children_.push_back(e);  // copy kept for restarts
-      push_uncounted(std::move(e));
-    }
-    seeds_.clear();
-    root_sorted_ = true;
-  }
+  QueueEntry root;
+  root.priority = std::numeric_limits<double>::infinity();
+  root.seq = next_seq_++;
+  root.node = 0;
+  root.terms = initial_terms_;
+  root.state = start_;
+  push_uncounted(std::move(root));  // the root is not a child
 
   termination_ = TerminationReason::kQueueExhausted;
   while (!heap_.empty()) {
-    if (shared_ != nullptr) {
-      if (shared_->stop.load(std::memory_order_acquire)) {
-        termination_ = TerminationReason::kSolved;  // a peer fired stop
-        break;
-      }
-      if (!shared_->try_consume_node()) {
-        termination_ = TerminationReason::kNodeBudget;
-        break;
-      }
-    } else if (options_.max_nodes > 0 &&
-               stats_.nodes_expanded >= options_.max_nodes) {
+    if (options_.max_nodes > 0 &&
+        stats_.nodes_expanded >= options_.max_nodes) {
       termination_ = TerminationReason::kNodeBudget;
       break;
     }
@@ -576,7 +457,7 @@ SynthesisResult BasicSearch<Rep>::run() {
     // The restart heuristic (Section IV-E) fires only while no solution
     // has been found at all: once one exists, best-first refinement under
     // the bestDepth - 1 pruning rule takes over.
-    if (options_.restart_interval > 0 && bound() < 0 &&
+    if (options_.restart_interval > 0 && best_depth_ < 0 &&
         !root_children_.empty() &&
         pops_since_improvement_ >= options_.restart_interval) {
       if (restart_index_ + 1 >= root_children_.size()) break;
@@ -604,8 +485,7 @@ SynthesisResult BasicSearch<Rep>::run() {
     // Entries enqueued before the best solution shrank are discarded here;
     // they were counted children_pushed at creation, so they get their own
     // counter instead of the child-prune ones.
-    const int bd = bound();
-    if (bd >= 0 && depth >= bd - 1) {
+    if (best_depth_ >= 0 && depth >= best_depth_ - 1) {
       ++stats_.pruned_stale;
       emit_prune(PruneReason::kStale, depth, entry.terms);
       pool_.release(std::move(entry.state));
@@ -623,7 +503,7 @@ SynthesisResult BasicSearch<Rep>::run() {
   stats_.elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
       Clock::now() - run_start_);
   stats_.cancelled = termination_ == TerminationReason::kCancelled;
-  if (tt_ != nullptr && shared_ == nullptr) {
+  if (tt_ != nullptr) {
     const TranspositionTable::Snapshot tt_after = tt_->snapshot();
     stats_.tt_inserts = tt_after.inserts - tt_before_.inserts;
     stats_.tt_evictions = tt_after.evictions - tt_before_.evictions;

@@ -35,10 +35,6 @@
 
 namespace rmrls {
 
-namespace detail {
-struct SharedSearchContext;  // core/parallel.hpp
-}
-
 /// Outcome of one synthesis run.
 struct SynthesisResult {
   bool success = false;
@@ -57,56 +53,14 @@ struct SynthesisResult {
   int partial_terms = -1;
 };
 
-/// One first-level subtree of the search: a root child produced by a
-/// single substitution, with everything a parallel worker needs to adopt
-/// it (core/parallel.hpp).
-template <class Rep>
-struct BasicRootSeed {
-  Gate gate;
-  double priority = 0.0;
-  std::int32_t terms = 0;
-  std::uint8_t exempt_count = 0;
-  bool exempt = false;
-  Rep state;
-};
-
-using RootSeed = BasicRootSeed<Pprm>;
-using DenseRootSeed = BasicRootSeed<DensePprm>;
-
-/// Harvest of expanding only the root (phase 1 of the parallel engine).
-template <class Rep>
-struct BasicRootExpansion {
-  /// Descending priority (creation order ties).
-  std::vector<BasicRootSeed<Rep>> seeds;
-  SynthesisStats stats;   ///< counters of the root expansion
-  bool identity = false;  ///< the spec is already the identity
-  bool solved = false;    ///< a one-gate solution was found
-  Gate solution_gate;     ///< valid when `solved`
-};
-
-using RootExpansion = BasicRootExpansion<Pprm>;
-
 /// One run of the best-first search over representation `Rep`. Not
 /// reusable; construct per call.
 template <class Rep>
 class BasicSearch {
  public:
-  /// A search from the root of `start`, or, given `seeds`, a worker of
-  /// the parallel engine: it adopts pre-expanded first-level subtrees
-  /// instead of expanding the root itself, and coordinates with its peers
-  /// through `shared` (best-depth bound, node budget, stop flag) and the
-  /// tables `options` points at. `seeds` must be sorted by descending
-  /// priority. With `shared == nullptr` behaves sequentially over the
-  /// given subtrees.
-  BasicSearch(Rep start, SynthesisOptions options,
-              std::vector<BasicRootSeed<Rep>> seeds = {},
-              detail::SharedSearchContext* shared = nullptr);
-
-  /// Expands only the root and harvests the surviving first-level
-  /// subtrees, sorted by descending priority (phase 1 of the parallel
-  /// engine; docs/parallelism.md).
-  [[nodiscard]] static BasicRootExpansion<Rep> expand_root(
-      const Rep& start, const SynthesisOptions& options);
+  /// A search from the root of `start`, deduplicating against and
+  /// learning into the tables `options` points at.
+  BasicSearch(Rep start, SynthesisOptions options);
 
   /// Runs to completion (queue empty, budget exhausted, or first solution
   /// in stop-at-first mode) and returns the best circuit found.
@@ -152,14 +106,8 @@ class BasicSearch {
   bool push_uncounted(QueueEntry entry);
   [[nodiscard]] QueueEntry pop_entry();
 
-  /// The depth bound governing the `bestDepth - 1` pruning rule: the
-  /// shared atomic bound when this search is a parallel worker, the local
-  /// best depth otherwise. -1 = no solution anywhere yet.
-  [[nodiscard]] int bound() const;
-
-  /// Records a solution at `child_depth`. In shared mode only the worker
-  /// that wins the atomic bound race records it (so exactly one worker
-  /// owns each strictly improving depth). Returns whether it was recorded.
+  /// Records a solution at `child_depth` if it improves on the best
+  /// depth. Returns whether it was recorded.
   bool record_solution(std::int32_t parent, const Gate& gate,
                        int child_depth, std::uint8_t exempt_count);
 
@@ -170,10 +118,8 @@ class BasicSearch {
 
   void restart();
 
-  /// Eq. (4) plus the engineering layers on top: the normalized history
-  /// bonus (kHistoryWeight, counted in stats_.history_hits) and
-  /// the deterministic lazy-SMP jitter (options_.order_jitter). Non-const
-  /// only for the history-hit counter.
+  /// Eq. (4) plus the normalized history bonus (kHistoryWeight, counted
+  /// in stats_.history_hits). Non-const only for the history-hit counter.
   [[nodiscard]] double priority_of(int depth, int elim_stage, int elim_total,
                                    int target, Cube factor);
 
@@ -183,11 +129,6 @@ class BasicSearch {
   SynthesisOptions options_;
   int num_vars_ = 0;
   int initial_terms_ = 0;
-
-  /// Parallel-worker coordination (null for the sequential engine).
-  detail::SharedSearchContext* shared_ = nullptr;
-  /// Worker mode: first-level subtrees adopted instead of a root node.
-  std::vector<BasicRootSeed<Rep>> seeds_;
 
   /// Recycles the state of every pruned child and expanded entry; the hot
   /// path materializes via substitute_into into pooled systems and stops
@@ -221,9 +162,7 @@ class BasicSearch {
   /// core/history.hpp. Null when the feature is off.
   TranspositionTable* tt_ = nullptr;
   HistoryTable* history_ = nullptr;
-  /// Table counters at run() start; sequential runs report the delta in
-  /// stats_ (workers leave it to the parallel engine, which accounts the
-  /// whole pass once).
+  /// Table counters at run() start; run() reports the delta in stats_.
   TranspositionTable::Snapshot tt_before_;
   /// Credits every gate on a newly recorded solution path (the history
   /// heuristic's learning signal).
@@ -285,8 +224,7 @@ class BasicSearch {
   Gauge* tele_history_hits_ = nullptr;
   void init_telemetry();
   /// Periodic gauge refresh (queue depth, TT occupancy/hits), called
-  /// every 64 pops from the run loop; needs parallel.hpp so it lives in
-  /// the .cpp.
+  /// every 64 pops from the run loop.
   void sample_telemetry();
 
   /// Emits `event` if a sink is installed, stamping the running node

@@ -6,7 +6,6 @@
 #include <random>
 
 #include "core/history.hpp"
-#include "core/parallel.hpp"
 #include "core/transposition.hpp"
 #include "obs/phase_profile.hpp"
 #include "obs/telemetry.hpp"
@@ -36,22 +35,17 @@ bool pick_dense(const Pprm& spec, const SynthesisOptions& options) {
          static_cast<int>(static_cast<std::uint64_t>(n) << (n - 6));
 }
 
-/// One search pass: the sequential engine for num_threads == 1 (exact
-/// pre-existing behavior), the parallel engine otherwise. Each pass
-/// independently picks the kernel for its representation of the spec —
-/// both engines expand the same tree and emit the same circuit, so the
-/// choice only affects throughput (and the dense_kernel stats flag).
+/// One search pass. Each pass independently picks the kernel for its
+/// representation of the spec — both kernels expand the same tree and
+/// emit the same circuit, so the choice only affects throughput (and the
+/// dense_kernel stats flag).
 SynthesisResult run_search(const Pprm& spec, const SynthesisOptions& options) {
   if (pick_dense(spec, options)) {
-    const DensePprm dense(spec);
-    SynthesisResult r = options.num_threads == 1
-                            ? DenseSearch(dense, options).run()
-                            : run_parallel_search(dense, options);
+    SynthesisResult r = DenseSearch(DensePprm(spec), options).run();
     r.stats.dense_kernel = true;
     return r;
   }
-  if (options.num_threads == 1) return Search(spec, options).run();
-  return run_parallel_search(spec, options);
+  return Search(spec, options).run();
 }
 
 /// Tells the trace sink (if any) that the driver starts an
@@ -78,7 +72,7 @@ SynthesisResult synthesize(const Pprm& spec, const SynthesisOptions& options) {
                                                                  wall_start);
   };
 
-  // Pass-spanning search state (the chess-engine loop, docs/parallelism.md):
+  // Pass-spanning search state (the chess-engine loop, docs/search_tables.md):
   // one bounded transposition table and one history table serve every pass
   // of this call — the iterative-deepening ladder, the broad-scope retry
   // and the refinement reruns. This is the only place either table is

@@ -39,21 +39,16 @@ void TranspositionTable::init(std::size_t buckets) {
   if (!table_) throw std::bad_alloc();
   buckets_ = buckets;
   allocated_ = buckets;
-  stripe_mask_ = std::min(buckets, kStripes) - 1;
 }
 
 bool TranspositionTable::check_and_insert(std::uint64_t hash,
-                                          std::int32_t depth,
-                                          std::uint8_t owner,
-                                          bool own_only) {
+                                          std::int32_t depth) {
   // Remix before reducing: Pprm::hash()'s low bits also drive other
   // consumers' bucketing.
   const std::uint64_t mix = splitmix64(hash);
-  const std::uint8_t gen = generation_.load(std::memory_order_relaxed);
-  Stripe& stripe = stripe_of(mix);
-  std::unique_lock<std::mutex> lock(stripe.m);
-  const std::size_t size = buckets_;
-  Entry* entries = table_[static_cast<std::size_t>(mix) & (size - 1)].entries;
+  const std::uint8_t gen = generation_;
+  Entry* entries =
+      table_[static_cast<std::size_t>(mix) & (buckets_ - 1)].entries;
 
   Entry* empty = nullptr;
   for (int i = 0; i < kBucketEntries; ++i) {
@@ -64,27 +59,15 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
     }
     if (e.hash != hash) continue;
     if (e.gen == gen) {
-      if (own_only && e.owner != owner) {
-        // A peer's claim. An own_only searcher (lazy SMP's canonical
-        // worker) must keep exactly the sequential engine's coverage, so
-        // a foreign claim never prunes it — it takes the claim over and
-        // re-expands. The peer revisiting afterwards prunes on this
-        // entry like any other, so the subtree is still expanded at most
-        // once per searcher that reached it first.
-        e.owner = owner;
-        e.depth = depth;
-        return false;
-      }
       if (e.depth <= depth) {
         // Re-visit at the same or a deeper depth: redundant, prune. A
         // *shallower* rediscovery falls through to the overwrite below —
         // the fix tests/test_tt_replacement pins (the pruned path could
         // be the better one).
-        ++stripe.hits;
+        ++counters_.hits;
         return true;
       }
       e.depth = depth;
-      e.owner = owner;
       return false;
     }
     // A previous pass's entry: refresh instead of pruning, so a table
@@ -92,17 +75,13 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
     // the new pass's exploration.
     e.gen = gen;
     e.depth = depth;
-    e.owner = owner;
     return false;
   }
 
   if (empty != nullptr) {
-    empty->hash = hash;
-    empty->depth = depth;
-    empty->gen = gen;
-    empty->owner = owner;
-    ++stripe.inserts;
-    ++stripe.occupied;
+    *empty = Entry{hash, depth, gen};
+    ++counters_.inserts;
+    ++counters_.entries;
     return false;
   }
 
@@ -111,10 +90,9 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
   // evicts: the entry from the oldest generation, the deepest among
   // equals. The age is wraparound-safe: how many generations ago the
   // entry was written.
-  if (size < ceiling_) {
-    lock.unlock();
-    grow(size);
-    return check_and_insert(hash, depth, owner, own_only);
+  if (buckets_ < ceiling_) {
+    grow();
+    return check_and_insert(hash, depth);
   }
   Entry* victim = &entries[0];
   for (int i = 1; i < kBucketEntries; ++i) {
@@ -124,25 +102,14 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
       victim = &entries[i];
     }
   }
-  victim->hash = hash;
-  victim->depth = depth;
-  victim->gen = gen;
-  victim->owner = owner;
-  ++stripe.inserts;
-  ++stripe.evictions;
+  *victim = Entry{hash, depth, gen};
+  ++counters_.inserts;
+  ++counters_.evictions;
   return false;
 }
 
-void TranspositionTable::grow(std::size_t seen) {
-  // Index order; a lookup holds at most one stripe, so no cycle can form.
-  std::array<std::unique_lock<std::mutex>, kStripes> held;
-  for (std::size_t i = 0; i < kStripes; ++i) {
-    held[i] = std::unique_lock<std::mutex>(stripes_[i].m);
-  }
+void TranspositionTable::grow() {
   const std::size_t old = buckets_;
-  // A peer may have grown the table first, or growth may have stopped.
-  if (old != seen || old == ceiling_) return;
-
   Bucket* const from = table_.get();
   Bucket* to = from;
   if (old * 2 > allocated_) {
@@ -183,38 +150,6 @@ void TranspositionTable::grow(std::size_t seen) {
   }
   if (to != from) table_.reset(to);
   buckets_ = old * 2;
-}
-
-std::uint64_t TranspositionTable::capacity() const {
-  const std::lock_guard<std::mutex> lock(stripes_[0].m);
-  return static_cast<std::uint64_t>(ceiling_) * kBucketEntries;
-}
-
-std::size_t TranspositionTable::bytes() const {
-  const std::lock_guard<std::mutex> lock(stripes_[0].m);
-  return buckets_ * sizeof(Bucket);
-}
-
-void TranspositionTable::new_generation() {
-  generation_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint8_t TranspositionTable::generation() const {
-  return generation_.load(std::memory_order_relaxed);
-}
-
-TranspositionTable::Snapshot TranspositionTable::snapshot() const {
-  Snapshot s;
-  for (std::size_t i = 0; i < kStripes; ++i) {
-    const Stripe& stripe = stripes_[i];
-    const std::lock_guard<std::mutex> lock(stripe.m);
-    s.hits += stripe.hits;
-    s.inserts += stripe.inserts;
-    s.evictions += stripe.evictions;
-    s.entries += stripe.occupied;
-    s.stripe_hits[i] = stripe.hits;
-  }
-  return s;
 }
 
 }  // namespace rmrls

@@ -1,11 +1,10 @@
 /// \file transposition.hpp
 /// \brief Bounded-memory transposition table that grows on demand up to its
-///        budget and then evicts by generation age (docs/parallelism.md).
+///        budget and then evicts by generation age (docs/search_tables.md).
 ///
-/// Replaces the grow-only seen-tables (the sequential unordered_map and the
-/// parallel ShardedSeenTable) with the bucketized layout mature game-tree
-/// searchers use: the table is a power-of-two array of 64-byte buckets,
-/// four 16-byte entries `{hash, depth, generation, owner}` each, bounded by
+/// Replaces the grow-only seen-map with the bucketized layout mature
+/// game-tree searchers use: the table is a power-of-two array of 64-byte
+/// buckets, four 16-byte entries `{hash, depth, generation}` each, bounded by
 /// a megabyte budget (`SynthesisOptions::tt_mb`, CLI `--tt-mb`). It starts
 /// at kStartBytes and doubles whenever an insert meets a full bucket; only
 /// once it has reached the budget does a full bucket evict instead of
@@ -38,32 +37,17 @@
 /// re-reached at the same or a deeper depth prunes, a shallower
 /// rediscovery overwrites the stored depth and must be re-expanded.
 ///
-/// Thread safety: kStripes striped mutexes. A bucket's stripe comes from
-/// the low hash bits that index a bucket at every table size, so a lookup
-/// picks its stripe before it reads the size. Growth takes every stripe
-/// lock in index order; a lookup holds only one at a time, so this cannot
-/// deadlock. Per-stripe hit counters feed SynthesisStats::tt_shard_hits;
-/// inserts/evictions/occupancy feed the `tt_inserts` / `tt_evictions`
-/// metrics and telemetry gauges, all read through snapshot().
-///
-/// Owner tags: every entry carries the byte its writer passed as `owner`.
-/// A caller passing `own_only = true` prunes only on entries bearing its
-/// own tag — a foreign claim is taken over (owner and depth overwritten)
-/// and reported as a miss. Lazy SMP uses this to keep its canonical
-/// worker exactly the sequential engine: helpers prune on any entry
-/// (first to a state claims it, peers diverge), but none of their claims
-/// can cut the canonical worker off a line the sequential search would
-/// have explored (docs/parallelism.md).
+/// Not thread-safe: one synthesize() call owns the table and uses it from
+/// one thread. Hits, inserts, evictions and occupancy feed the
+/// `tt_inserts` / `tt_evictions` metrics and telemetry gauges, all read
+/// through snapshot().
 
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
-#include <mutex>
 
 namespace rmrls {
 
@@ -77,8 +61,6 @@ class TranspositionTable {
   };
 
   static constexpr int kBucketEntries = 4;
-  /// Lock stripes; SynthesisStats::tt_shard_hits has one entry per stripe.
-  static constexpr std::size_t kStripes = 16;
   /// Size a budget-built table starts at.
   static constexpr std::size_t kStartBytes = std::size_t{4} << 10;
   /// Largest size kept in heap memory; growing past it allocates the
@@ -97,15 +79,11 @@ class TranspositionTable {
   TranspositionTable& operator=(const TranspositionTable&) = delete;
 
   /// Returns true when the state should be pruned: already recorded *in
-  /// the current generation* at the same or a shallower depth — and, when
-  /// `own_only` is set, only if the recording entry bears this caller's
-  /// `owner` tag (a foreign entry is claimed over and reported as a
-  /// miss). Otherwise records `depth` and `owner` (insert, depth
-  /// overwrite, claim takeover, or stale-generation refresh) and returns
-  /// false. `depth` must be >= 1 — depth 0 is the root, which is never
-  /// tabled, and doubles as the empty-slot marker.
-  bool check_and_insert(std::uint64_t hash, std::int32_t depth,
-                        std::uint8_t owner = 0, bool own_only = false);
+  /// the current generation* at the same or a shallower depth. Otherwise
+  /// records `depth` (insert, depth overwrite, or stale-generation
+  /// refresh) and returns false. `depth` must be >= 1 — depth 0 is the
+  /// root, which is never tabled, and doubles as the empty-slot marker.
+  bool check_and_insert(std::uint64_t hash, std::int32_t depth);
 
   /// Starts a new search pass: entries of older generations stop pruning
   /// (they refresh on first touch) and become the preferred eviction
@@ -113,8 +91,8 @@ class TranspositionTable {
   /// surviving entry aliases the current generation again, which costs at
   /// most one wrongly-pruned revisit per entry — bounded staleness, the
   /// standard aging trade.
-  void new_generation();
-  [[nodiscard]] std::uint8_t generation() const;
+  void new_generation() { ++generation_; }
+  [[nodiscard]] std::uint8_t generation() const { return generation_; }
 
   /// Cumulative counters (monotone since construction). Pass-scoped stats
   /// are deltas of two snapshot() calls.
@@ -124,23 +102,22 @@ class TranspositionTable {
     std::uint64_t evictions = 0;
     /// Occupied entries (monotone until full; evictions replace in place).
     std::uint64_t entries = 0;
-    /// Duplicate hits per stripe (SynthesisStats::tt_shard_hits order).
-    std::array<std::uint64_t, kStripes> stripe_hits{};
   };
-  [[nodiscard]] Snapshot snapshot() const;
+  [[nodiscard]] Snapshot snapshot() const { return counters_; }
 
   /// Hard capacity in entries, the budget's (lower only if the budget
   /// allocation was refused); Snapshot::entries can never exceed it.
-  [[nodiscard]] std::uint64_t capacity() const;
+  [[nodiscard]] std::uint64_t capacity() const {
+    return static_cast<std::uint64_t>(ceiling_) * kBucketEntries;
+  }
   /// Bytes of the bucket array at its current, grown size.
-  [[nodiscard]] std::size_t bytes() const;
+  [[nodiscard]] std::size_t bytes() const { return buckets_ * sizeof(Bucket); }
 
  private:
   struct Entry {
     std::uint64_t hash = 0;
     std::int32_t depth = 0;  ///< 0 = empty slot (tabled depths are >= 1)
     std::uint8_t gen = 0;
-    std::uint8_t owner = 0;  ///< writer's tag; see check_and_insert
   };
   /// Naturally 64 bytes (4 x 16-byte entries) — exactly one cache line —
   /// without an alignas that calloc could not honour.
@@ -149,40 +126,20 @@ class TranspositionTable {
   };
   static_assert(sizeof(Bucket) == 64, "one cache line per bucket");
 
-  struct alignas(64) Stripe {
-    mutable std::mutex m;
-    std::uint64_t hits = 0;
-    std::uint64_t inserts = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t occupied = 0;
-  };
-
   void init(std::size_t buckets);
-  /// Takes every stripe lock and doubles the table, unless a peer already
-  /// grew it past `seen` buckets or it is at its ceiling. If the memory
-  /// is refused, lowers the ceiling to the current size instead.
-  void grow(std::size_t seen);
-
-  [[nodiscard]] Stripe& stripe_of(std::uint64_t mix) {
-    return stripes_[static_cast<std::size_t>(mix) & stripe_mask_];
-  }
+  /// Doubles the table. If the memory is refused, lowers the ceiling to
+  /// the current size instead.
+  void grow();
 
   struct FreeDeleter {
     void operator()(Bucket* p) const { std::free(p); }
   };
-  // The table's shape changes only under every stripe lock, so holding
-  // any one of them makes these four fields safe to read.
   std::unique_ptr<Bucket[], FreeDeleter> table_;
   std::size_t buckets_ = 0;    ///< current size, a power of two
   std::size_t allocated_ = 0;  ///< buckets table_ has room for
   std::size_t ceiling_ = 0;    ///< the budget's buckets; growth stops here
-  /// min(starting size, kStripes) - 1; fixed. Those low hash bits are part
-  /// of the bucket index at every size, so a bucket keeps its stripe.
-  std::size_t stripe_mask_ = 0;
-  std::array<Stripe, kStripes> stripes_;
-  /// Bumped between passes only (never concurrently with lookups from the
-  /// bumping thread's own pass); relaxed everywhere.
-  std::atomic<std::uint8_t> generation_{0};
+  Snapshot counters_;
+  std::uint8_t generation_ = 0;
 };
 
 }  // namespace rmrls

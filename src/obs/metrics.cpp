@@ -64,7 +64,8 @@ MetricsRegistry& MetricsRegistry::add_stats(const SynthesisStats& stats,
   set("dropped_queue_full", stats.dropped_queue_full);
   set("restarts", stats.restarts);
   set("solutions_found", stats.solutions_found);
-  set("workers", stats.workers);
+  // Every search runs on one thread; the key stays because v1 requires it.
+  set("workers", 1);
   set("dense_kernel", stats.dense_kernel);
   set("representation_switches", stats.representation_switches);
   set("cancelled", stats.cancelled);
@@ -79,17 +80,6 @@ MetricsRegistry& MetricsRegistry::add_stats(const SynthesisStats& stats,
   set("id_iterations", stats.id_iterations);
   set("history_hits", stats.history_hits);
   set("nodes_at_best", stats.nodes_at_best);
-  if (!stats.tt_shard_hits.empty()) {
-    // Per-shard duplicate hits of the shared transposition table; only
-    // parallel runs carry them, so sequential records stay unchanged.
-    std::string array = "[";
-    for (std::size_t i = 0; i < stats.tt_shard_hits.size(); ++i) {
-      if (i > 0) array += ',';
-      array += std::to_string(stats.tt_shard_hits[i]);
-    }
-    array += ']';
-    fields_.emplace_back("tt_shard_hits", array);
-  }
   set("elapsed_us",
       static_cast<std::uint64_t>(stats.elapsed.count() < 0
                                      ? 0

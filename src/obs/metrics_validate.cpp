@@ -240,9 +240,9 @@ bool MetricsValidator::check_v1(const JsonValue& v, const std::string& where) {
       return fail(where, "nodes_at_best is not in [0, nodes_expanded]");
     }
   }
-  // Optional per-shard transposition hit counts (parallel engine only):
-  // an array of non-negative numbers whose sum cannot exceed the total
-  // duplicate prunes (sequential passes of the same run may add more).
+  // Optional per-shard transposition hit counts, which records from
+  // builds with a parallel search engine carry: an array of non-negative
+  // numbers whose sum cannot exceed the total duplicate prunes.
   const JsonValue* shard_hits = v.find("tt_shard_hits");
   if (shard_hits != nullptr) {
     if (shard_hits->type != JsonValue::Type::kArray) {

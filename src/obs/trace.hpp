@@ -133,10 +133,10 @@ class RecordingTraceSink final : public TraceSink {
   std::vector<TraceEvent> events;
 };
 
-/// Serializes concurrent emitters onto a single downstream sink. The
-/// parallel engine (core/parallel.hpp) wraps the user's sink in one of
-/// these, so existing sinks stay single-threaded; events from different
-/// workers interleave in lock-acquisition order.
+/// Serializes concurrent emitters onto a single downstream sink. run_batch
+/// (core/batch.hpp) wraps the user's sink in one of these when jobs run
+/// concurrently, so existing sinks stay single-threaded; events from
+/// different jobs interleave in lock-acquisition order.
 class SyncTraceSink final : public TraceSink {
  public:
   explicit SyncTraceSink(TraceSink* inner) : inner_(inner) {}

@@ -109,7 +109,7 @@ int CubeList::substitute_into(int t, Cube f, CubeList& dst) const {
   const Cube bit = cube_of_var(t);
   if (f & bit) throw std::invalid_argument("factor contains target variable");
   // Rewritten cubes, sorted and XOR-deduplicated. The scratch buffer is
-  // per-thread so parallel search workers never contend (and after warmup
+  // per-thread so concurrent batch jobs never contend (and after warmup
   // this function performs no allocation beyond dst's own growth).
   static thread_local std::vector<Cube> scratch;
   scratch.clear();

@@ -182,7 +182,7 @@ std::ostream& operator<<(std::ostream& os, const Pprm& p);
 /// that gets pruned (and every expanded queue entry) returns here, and
 /// the next materialization reuses its buffers instead of reallocating.
 /// Works for any representation the engine is instantiated over (Pprm or
-/// DensePprm). Single-threaded; each search worker owns one.
+/// DensePprm). Single-threaded; each search owns one.
 template <class State>
 class StatePool {
  public:

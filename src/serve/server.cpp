@@ -463,7 +463,6 @@ int ServeDaemon::run() {
       r.deadline = deadline;
       r.use_watchdog = true;
       r.cancel_token = &job->token;
-      r.search.num_threads = imp->opts->search_threads;
       r.search.trace_id = job->trace_id;
       const CachedSynthesisOutcome out = synthesize_cached(
           spec, imp->cache.get(), imp->opts->canonical, r);

@@ -56,8 +56,7 @@ struct ServeOptions {
   /// Only consulted when socket_path is empty. Binds 127.0.0.1 only.
   int tcp_port = 0;
 
-  int workers = 2;          ///< executor threads (minimum 1)
-  int search_threads = 1;   ///< SynthesisOptions::num_threads per job
+  int workers = 2;             ///< executor threads (minimum 1)
   std::size_t queue_cap = 64;  ///< admission queue bound (load shed past it)
 
   std::chrono::milliseconds default_deadline{2000};  ///< when time_ms absent
@@ -74,8 +73,8 @@ struct ServeOptions {
   std::string cache_dir;                            ///< optional on-disk store
 
   CanonicalOptions canonical;
-  /// Per-request cascade base. deadline / cancel_token / search.trace_id /
-  /// search.num_threads are overridden per job.
+  /// Per-request cascade base. deadline / cancel_token / search.trace_id
+  /// are overridden per job.
   ResilienceOptions resilience;
 
   /// JSONL sink for per-job rmrls-metrics-v1 records and heartbeats;

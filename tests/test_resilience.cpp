@@ -97,19 +97,6 @@ TEST(Cancellation, DeadlineReasonReportsTimeLimit) {
   EXPECT_FALSE(r.stats.cancelled);
 }
 
-TEST(Cancellation, PreCancelledParallelReturnsImmediately) {
-  CancelToken token;
-  token.cancel(CancelReason::kUser);
-  SynthesisOptions options;
-  options.cancel_token = &token;
-  options.num_threads = 2;
-  const auto t0 = Clock::now();
-  const SynthesisResult r = synthesize(wide_spec(8, 12), options);
-  EXPECT_FALSE(r.success);
-  EXPECT_EQ(r.termination, TerminationReason::kCancelled);
-  EXPECT_LT(Clock::now() - t0, milliseconds(2000));
-}
-
 TEST(Cancellation, GreedyHonorsToken) {
   CancelToken token;
   token.cancel(CancelReason::kUser);

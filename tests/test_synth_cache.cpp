@@ -265,22 +265,6 @@ TEST(SynthCache, FailedLeaderReleasesFollowersEmptyHanded) {
   cache.publish(7, nullptr);
 }
 
-TEST(ThreadSplit, JobsGetPriorityAndSearchKeepsTheRemainder) {
-  // 8 threads over 4 jobs: 4 concurrent jobs, 2 search workers each.
-  EXPECT_EQ(split_threads(8, 0, 4).batch_threads, 4);
-  EXPECT_EQ(split_threads(8, 0, 4).search_threads, 2);
-  // More jobs than threads: every thread runs jobs, searches stay
-  // sequential.
-  EXPECT_EQ(split_threads(4, 0, 100).batch_threads, 4);
-  EXPECT_EQ(split_threads(4, 0, 100).search_threads, 1);
-  // An explicit batch level wins, clamped to the job count.
-  EXPECT_EQ(split_threads(8, 2, 4).batch_threads, 2);
-  EXPECT_EQ(split_threads(8, 2, 4).search_threads, 4);
-  EXPECT_EQ(split_threads(8, 16, 4).batch_threads, 4);
-  EXPECT_EQ(split_threads(1, 0, 0).batch_threads, 1);
-  EXPECT_GE(split_threads(0, 0, 4).batch_threads, 1);  // 0 = hardware
-}
-
 std::vector<BatchJob> orbit_heavy_jobs(int n, int unique, int copies,
                                        std::uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -343,23 +327,27 @@ TEST(Batch, CountersRespectTheirInvariants) {
 TEST(Batch, CachelessRunMatchesSingleShotSynthesis) {
   // Without a cache the driver must behave like per-job
   // synthesize_resilient on the original spec (the --cache-mb 0
-  // bit-identity guarantee).
+  // bit-identity guarantee), whatever the thread count: 8 threads over 3
+  // jobs runs every job on its own thread.
   std::mt19937_64 rng(13);
   std::vector<BatchJob> jobs;
   for (int i = 0; i < 3; ++i) {
     jobs.push_back(
         BatchJob{"j" + std::to_string(i), random_reversible_function(3, rng)});
   }
-  BatchOptions options;
-  options.total_threads = 1;
-  const BatchResult result = run_batch(jobs, options);
-  EXPECT_TRUE(result.status.ok());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const ResilientResult single = synthesize_resilient(jobs[i].spec, {});
-    EXPECT_EQ(result.outcomes[i].result.circuit, single.result.circuit);
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
+    BatchOptions options;
+    options.total_threads = threads;
+    const BatchResult result = run_batch(jobs, options);
+    EXPECT_TRUE(result.status.ok());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const ResilientResult single = synthesize_resilient(jobs[i].spec, {});
+      EXPECT_EQ(result.outcomes[i].result.circuit, single.result.circuit);
+    }
+    EXPECT_EQ(result.stats.cache_hits, 0u);
+    EXPECT_EQ(result.stats.cache_misses, jobs.size());
   }
-  EXPECT_EQ(result.stats.cache_hits, 0u);
-  EXPECT_EQ(result.stats.cache_misses, jobs.size());
 }
 
 TEST(Batch, SharedDeadlineCancelsUnstartedJobs) {

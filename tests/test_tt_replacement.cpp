@@ -3,18 +3,14 @@
 // table inherits from the seen-map it replaced (including the
 // shallower-revisit-overwrites regression), generation aging and
 // rollover, bounded memory under sustained insert pressure, on-demand
-// growth (a grown table answers exactly like one built at its ceiling;
-// concurrent growth loses nothing), and the determinism of the
-// single-threaded iterative-deepening driver built on top of it.
+// growth (a grown table answers exactly like one built at its ceiling),
+// and the determinism of the iterative-deepening driver built on top of
+// it.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <latch>
-#include <numeric>
 #include <random>
-#include <thread>
-#include <vector>
 
 #include "core/synthesizer.hpp"
 #include "core/transposition.hpp"
@@ -55,29 +51,6 @@ TEST(TranspositionTable, ShallowerRevisitOverwritesInsteadOfPruning) {
   EXPECT_TRUE(tt.check_and_insert(h(1), 4));   // now 4 >= stored 3: prune
   EXPECT_TRUE(tt.check_and_insert(h(1), 3));
   // The overwrite is not an insert: the slot was already occupied.
-  EXPECT_EQ(tt.snapshot().inserts, 1u);
-  EXPECT_EQ(tt.snapshot().entries, 1u);
-}
-
-// Owner-filtered pruning (lazy SMP's canonical-worker guarantee): an
-// own_only caller is never pruned by a foreign claim — it takes the claim
-// over and re-expands — while ordinary callers prune on any entry. This
-// is what keeps worker 0 exactly the sequential engine even when helpers
-// reach shared states first (core/parallel.cpp kCanonicalOwner).
-TEST(TranspositionTable, OwnOnlyCallerIgnoresForeignClaims) {
-  TranspositionTable tt(kOneBucket);
-  constexpr std::uint8_t kHelper = 0;
-  constexpr std::uint8_t kCanonical = 1;
-  // A helper claims the state first.
-  EXPECT_FALSE(tt.check_and_insert(h(1), 3, kHelper, false));
-  // The canonical worker reaches it later: not pruned, claim taken over.
-  EXPECT_FALSE(tt.check_and_insert(h(1), 3, kCanonical, true));
-  // The helper revisiting now prunes on the canonical entry as usual.
-  EXPECT_TRUE(tt.check_and_insert(h(1), 3, kHelper, false));
-  // The canonical worker's own revisit prunes — its own entries still
-  // dedup it exactly like the sequential table would.
-  EXPECT_TRUE(tt.check_and_insert(h(1), 4, kCanonical, true));
-  // A takeover reuses the slot: one insert, one entry.
   EXPECT_EQ(tt.snapshot().inserts, 1u);
   EXPECT_EQ(tt.snapshot().entries, 1u);
 }
@@ -187,7 +160,7 @@ TEST(TranspositionTable, BoundedMemoryUnderSustainedInsertPressure) {
   EXPECT_EQ(s.entries, s.inserts - s.evictions);
 }
 
-TEST(TranspositionTable, SnapshotDeltasArePerStripeAndMonotone) {
+TEST(TranspositionTable, SnapshotDeltasAreMonotone) {
   TranspositionTable tt(1);
   const TranspositionTable::Snapshot before = tt.snapshot();
   for (std::uint64_t i = 0; i < 1000; ++i) {
@@ -197,13 +170,6 @@ TEST(TranspositionTable, SnapshotDeltasArePerStripeAndMonotone) {
   const TranspositionTable::Snapshot after = tt.snapshot();
   EXPECT_GE(after.hits, before.hits + 1000);
   EXPECT_GE(after.inserts, before.inserts);
-  const std::uint64_t stripe_sum = std::accumulate(
-      after.stripe_hits.begin(), after.stripe_hits.end(), std::uint64_t{0});
-  EXPECT_EQ(stripe_sum, after.hits);
-  // 1000 splitmix64 hashes reach every one of the 16 stripes.
-  for (std::size_t i = 0; i < TranspositionTable::kStripes; ++i) {
-    EXPECT_GT(after.stripe_hits[i], before.stripe_hits[i]) << "stripe " << i;
-  }
 }
 
 // Budget sizing: the table must fit the requested megabytes and use a
@@ -222,8 +188,7 @@ TEST(TranspositionTable, BudgetSizingFitsAndIsPowerOfTwo) {
 // to its ceiling and then evicts answers every call exactly like a table
 // built at that ceiling. The stream mixes a hot set
 // (repeats, shallower and deeper revisits) with a cold tail that forces
-// growth and then eviction, owner tags with own_only takeovers, and
-// generation bumps.
+// growth and then eviction, and generation bumps.
 TEST(TranspositionTable, GrownTableMatchesTableBuiltAtCeiling) {
   TranspositionTable grown(1);
   TranspositionTable built(TranspositionTable::Config{static_cast<std::size_t>(
@@ -241,10 +206,8 @@ TEST(TranspositionTable, GrownTableMatchesTableBuiltAtCeiling) {
         (rng() & 1) != 0 ? rng() % 2'000 : 2'000 + rng() % 300'000;
     const std::uint64_t hash = key * 0x9E3779B97F4A7C15ULL + 1;
     const auto depth = static_cast<std::int32_t>(1 + rng() % 12);
-    const auto owner = static_cast<std::uint8_t>(rng() % 3);
-    const bool own_only = rng() % 8 == 0;
-    ASSERT_EQ(grown.check_and_insert(hash, depth, owner, own_only),
-              built.check_and_insert(hash, depth, owner, own_only))
+    ASSERT_EQ(grown.check_and_insert(hash, depth),
+              built.check_and_insert(hash, depth))
         << "call " << call;
   }
   const TranspositionTable::Snapshot g = grown.snapshot();
@@ -255,7 +218,6 @@ TEST(TranspositionTable, GrownTableMatchesTableBuiltAtCeiling) {
   EXPECT_EQ(g.inserts, b.inserts);
   EXPECT_EQ(g.evictions, b.evictions);
   EXPECT_EQ(g.entries, b.entries);
-  EXPECT_EQ(g.stripe_hits, b.stripe_hits);
 }
 
 // A small search must not pay for its budget: 1000 entries under the
@@ -278,50 +240,8 @@ TEST(TranspositionTable, SmallRunStaysSmallUnderLargeBudget) {
   EXPECT_EQ(tt.snapshot().evictions, 0u);
 }
 
-// Concurrent growth (tsan preset: `ctest -L concurrency`): threads insert
-// disjoint hashes into one table that starts small and must grow through
-// its heap sizes into the budget allocation while they race. With room
-// for every entry, nothing may be lost: each hash prunes at its depth
-// afterwards, and every insert is still an occupied entry.
-TEST(TranspositionTable, ConcurrentGrowthLosesNothing) {
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPerThread = 8'000;
-  TranspositionTable tt(64);
-  const auto hash_of = [](int t, std::uint64_t i) {
-    return splitmix64((static_cast<std::uint64_t>(t) << 32) | i);
-  };
-  const auto depth_of = [](std::uint64_t i) {
-    return static_cast<std::int32_t>(1 + i % 9);
-  };
-  std::latch start(kThreads);
-  std::vector<std::thread> threads;
-  std::vector<int> fresh(kThreads, 0);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      start.arrive_and_wait();
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        if (!tt.check_and_insert(hash_of(t, i), depth_of(i))) ++fresh[t];
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(fresh[t], static_cast<int>(kPerThread)) << "thread " << t;
-    for (std::uint64_t i = 0; i < kPerThread; ++i) {
-      ASSERT_TRUE(tt.check_and_insert(hash_of(t, i), depth_of(i)))
-          << "thread " << t << " hash " << i;
-    }
-  }
-  EXPECT_GT(tt.bytes(), TranspositionTable::kHeapLimitBytes);
-  const TranspositionTable::Snapshot s = tt.snapshot();
-  EXPECT_EQ(s.inserts, kThreads * kPerThread);
-  EXPECT_EQ(s.entries, s.inserts);
-  EXPECT_EQ(s.evictions, 0u);
-}
-
 // The iterative-deepening driver on top of the table must stay
-// bit-reproducible single-threaded: same spec, same options, same
+// bit-reproducible: same spec, same options, same
 // circuit, same node count — and it must report its rung count.
 TEST(IterativeDeepening, SingleThreadedRunsAreDeterministic) {
   const TruthTable spec(
@@ -371,6 +291,27 @@ TEST(IterativeDeepening, StatsInvariantsAndHistoryKillSwitch) {
   ASSERT_TRUE(rh.success);
   EXPECT_EQ(rh.stats.history_hits, 0u);
   EXPECT_TRUE(implements(rh.circuit, spec));
+}
+
+// synthesize() is the only code that builds the search tables, and the
+// engines run without a table whose feature is off: no table traffic or
+// duplicate prune without the transposition table, and no history bonus
+// without the history table.
+TEST(IterativeDeepening, DisabledTablesAreNeverBuilt) {
+  const TruthTable spec({0, 7, 6, 9, 4, 11, 10, 13, 8, 15, 14, 1, 12, 3, 2, 5});
+  SynthesisOptions o;
+  o.max_nodes = 50000;
+  EXPECT_GT(synthesize(spec, o).stats.history_hits, 0u);
+
+  SynthesisOptions no_tt = o;
+  no_tt.use_transposition_table = false;
+  const SynthesisResult r = synthesize(spec, no_tt);
+  EXPECT_EQ(r.stats.tt_inserts, 0u);
+  EXPECT_EQ(r.stats.pruned_duplicate, 0u);
+
+  SynthesisOptions no_history = o;
+  no_history.use_history = false;
+  EXPECT_EQ(synthesize(spec, no_history).stats.history_hits, 0u);
 }
 
 }  // namespace

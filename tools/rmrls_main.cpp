@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   long long cache_mb = -1;  // sentinel: 64 in batch / with --cache-dir, else 0
   long long cache_gc_mb = 0;  // disk-store budget, 0 = unbounded
   int canonical_cap = -1;
-  int batch_threads = 0;
+  int threads = 1;  // concurrent --batch jobs
   int shard_index = 0;
   int shard_count = 1;
   std::string checkpoint_file;
@@ -147,20 +147,11 @@ int main(int argc, char** argv) {
               " the search's resident memory on long runs (overflow counts"
               " dropped_queue_full)",
               1)
-      .number("--threads", options.num_threads, "N",
-              "parallel search workers (default 1 = sequential engine,"
-              " bit-reproducible; 0 = one per hardware thread); see"
-              " docs/parallelism.md",
-              0)
-      .flag("--oversubscribe", options.allow_oversubscription,
-            "allow more workers than hardware threads (default: --threads is"
-            " clamped to the core count; oversubscribed lazy SMP only wastes"
-            " time re-deriving peers' states)")
       .number("--tt-mb", options.tt_mb, "N",
               "transposition-table memory ceiling in MiB (default 64); the"
               " table starts at 4 KiB, doubles on demand up to N and only"
               " then evicts, oldest search pass first; see"
-              " docs/parallelism.md",
+              " docs/search_tables.md",
               1)
       .flag("--no-history", options.use_history,
             "disable the history heuristic (learned (target, factor-class)"
@@ -196,11 +187,10 @@ int main(int argc, char** argv) {
               " representative (default 12); wider specs are cached by exact"
               " identity only",
               0)
-      .number("--batch-threads", batch_threads, "N",
-              "concurrent jobs in --batch mode (0 = auto: min(jobs,"
-              " --threads), leftover threads go to each search;"
-              " docs/parallelism.md). --time-ms bounds the *whole batch*"
-              " under one watchdog.",
+      .number("--threads", threads, "N",
+              "jobs run at once in --batch mode (default 1; 0 = one per"
+              " hardware thread); every search runs on one thread."
+              " --time-ms bounds the *whole batch* under one watchdog.",
               0);
   flags.section("Fleet scale-out (docs/fleet.md, --batch mode only):")
       .custom("--shard", "I/N",
@@ -274,6 +264,10 @@ int main(int argc, char** argv) {
       std::cout << name << "\n";
     }
     return 0;
+  }
+  if (threads != 1 && batch_file.empty()) {
+    std::cerr << "error: --threads applies to --batch only\n";
+    return usage();
   }
   if (no_extra) {
     options.allow_relaxed_targets = false;
@@ -378,8 +372,7 @@ int main(int argc, char** argv) {
       BatchOptions bopts;
       bopts.resilience.search = options;
       bopts.resilience.search.time_limit = std::chrono::milliseconds{0};
-      bopts.total_threads = options.num_threads;
-      bopts.batch_threads = batch_threads;
+      bopts.total_threads = threads;
       bopts.deadline = options.time_limit;  // bounds the whole batch
       bopts.use_watchdog = use_watchdog;
       bopts.cancel_token = &g_cancel;

@@ -32,12 +32,11 @@ int main(int argc, char** argv) {
               0, 65535);
   flags.section("Capacity:")
       .number("--workers", options.workers, "N",
-              "executor threads (default 2)", 0)
-      .number("--search-threads", options.search_threads, "N",
-              "SynthesisOptions::num_threads per job (default 1)", 0)
+              "executor threads, one job each (default 2)", 1)
       .number("--queue-cap", options.queue_cap, "N",
               "admission queue bound (default 64); submits past it are shed"
-              " with status \"unavailable\" (client exit code 7)");
+              " with status \"unavailable\" (client exit code 7)",
+              1);
   flags.section("Deadlines (ms):")
       .number("--time-ms", options.default_deadline, "N",
               "per-request default deadline (default 2000)")
