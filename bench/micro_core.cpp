@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "baselines/transformation_based.hpp"
+#include "bench_suite/functions.hpp"
 #include "core/batch.hpp"
 #include "core/factor_enum.hpp"
 #include "core/resilient.hpp"
@@ -358,8 +359,29 @@ void BM_Canonicalize(benchmark::State& state) {
     benchmark::DoNotOptimize(canonicalize(spec));
   }
 }
-// 4 and 6 take the exact n! scan; 8 exercises the signature-pruned path.
+// Random specs: at 4 and 6 every wire may take every position; at 8 only
+// the positions of its signature block.
 BENCHMARK(BM_Canonicalize)->Arg(4)->Arg(6)->Arg(8);
+
+// Symmetric specs, where many relabelings tie and the search leans on the
+// automorphisms it finds: hwb7 (invariant under rotating its wires) and
+// tof_8 (invariant under any permutation of its seven controls).
+void BM_CanonicalizeSymmetric(benchmark::State& state,
+                              const TruthTable& spec) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(canonicalize(spec));
+  }
+}
+TruthTable toffoli_on_top(int n) {
+  const std::uint64_t top = std::uint64_t{1} << (n - 1);
+  std::vector<std::uint64_t> image(std::uint64_t{1} << n);
+  for (std::uint64_t x = 0; x < image.size(); ++x) {
+    image[x] = (x & (top - 1)) == top - 1 ? x ^ top : x;
+  }
+  return TruthTable(std::move(image));
+}
+BENCHMARK_CAPTURE(BM_CanonicalizeSymmetric, hwb7, suite::hwb(7));
+BENCHMARK_CAPTURE(BM_CanonicalizeSymmetric, tof8, toffoli_on_top(8));
 
 void BM_RelabelWires(benchmark::State& state) {
   std::mt19937_64 rng(22);

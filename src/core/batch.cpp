@@ -246,9 +246,11 @@ CachedSynthesisOutcome synthesize_cached(const TruthTable& spec,
   const Pprm spec_pprm = pprm_of_truth_table(spec);
 
   SynthCache::Acquisition acq = cache->acquire(form.key);
-  if (acq.outcome != SynthCache::Outcome::kLead && acq.circuit.has_value()) {
-    // A hash collision (or corrupt disk entry) fails this verification and
-    // falls through to a fresh synthesis — hits are never trusted blindly.
+  if (acq.outcome != SynthCache::Outcome::kLead && acq.circuit.has_value() &&
+      acq.circuit->num_lines() == spec.num_vars()) {
+    // A hash collision (or corrupt disk entry) fails this verification, or
+    // the width check above, and falls through to a fresh synthesis that
+    // overwrites the entry — hits are never trusted blindly.
     Circuit rebuilt = reconstruct_circuit(*acq.circuit, form.transform);
     if (adopt_verified(out, spec_pprm, std::move(rebuilt))) {
       if (acq.outcome == SynthCache::Outcome::kHit) {

@@ -27,12 +27,15 @@
 
 namespace rmrls {
 
-/// Knobs of canonicalize(). Defaults keep the scan exact where it is cheap
-/// and signature-pruned where it is not; beyond `max_vars` the orbit
-/// degenerates to the spec itself (identity transform, self hash).
+/// Knobs of canonicalize(). They fix which relabelings are candidates and
+/// when a spec is its own orbit; one branch-and-bound search then finds the
+/// least conjugate among the candidates (docs/caching.md). Beyond
+/// `max_vars` the orbit degenerates to the spec itself (identity
+/// transform, self hash).
 struct CanonicalOptions {
-  /// Widest spec scanned over all n! relabelings (exact lexicographic
-  /// minimum over the full orbit). 6! = 720 candidates.
+  /// Widest spec whose candidates are all n! relabelings, so that its
+  /// representative is the exact lexicographic minimum of the full orbit.
+  /// Above it a wire may only take the positions of its signature block.
   int exact_max_vars = 6;
 
   /// Widest spec eligible for orbit canonicalization at all (the CLI's
@@ -40,10 +43,12 @@ struct CanonicalOptions {
   /// the cache still deduplicates exact resubmissions, just not orbits.
   int max_vars = 12;
 
-  /// Ceiling on signature-consistent relabelings tried above
-  /// `exact_max_vars`. Highly symmetric specs (every wire signature equal)
-  /// would degenerate to n!; past this budget the canonicalizer falls back
-  /// to the identity orbit instead of stalling the request path.
+  /// Ceiling on the signature-consistent relabelings above
+  /// `exact_max_vars`, judged on the spec and on its inverse. Highly
+  /// symmetric specs (every wire signature equal) have n! of them; past
+  /// this budget the spec falls back to the identity orbit. The rule, not
+  /// the search's cost, is what the budget keeps: it decides which specs
+  /// share keys, and so which circuits a cache store holds.
   std::uint64_t max_candidates = 40320;  // 8!
 };
 
@@ -76,10 +81,13 @@ struct CanonicalForm {
   std::uint64_t key = 0;
 };
 
-/// Canonicalizes `spec`: exact minimal scan for n <= exact_max_vars,
-/// signature-pruned scan up to max_vars, identity orbit beyond. Every
-/// member of one orbit maps to the same representative and key (the
-/// property tests/test_canonical.cpp pins across both scan regimes).
+/// Canonicalizes `spec`: the least conjugate of the spec or its inverse
+/// over all relabelings for n <= exact_max_vars, over the
+/// signature-consistent ones up to max_vars (within max_candidates), the
+/// identity orbit beyond. Every member of one orbit maps to the same
+/// representative and key (the property tests/test_canonical.cpp pins
+/// across both candidate sets), and bench/golden/canonical_golden.txt pins
+/// the keys and transforms themselves.
 [[nodiscard]] CanonicalForm canonicalize(const TruthTable& spec,
                                          const CanonicalOptions& options = {});
 

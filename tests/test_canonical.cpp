@@ -1,12 +1,14 @@
 // Tests for the orbit canonicalizer (rev/canonical.hpp): round-trips,
-// orbit-invariance of the key across both scan regimes, the fallback
-// behaviours, and concurrent use.
+// orbit-invariance of the key across both candidate sets, the fallback
+// behaviours, concurrent use, and the tie rule for the stored transform
+// against a brute-force scan.
 
 #include "rev/canonical.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -164,6 +166,104 @@ TEST(Canonical, ConcurrentCanonicalizationIsRaceFree) {
   }
   for (std::thread& t : threads) t.join();
   for (const std::uint64_t k : keys) EXPECT_EQ(k, expected.key);
+}
+
+// Brute-force reference for the stored transform: every relabeling that
+// keeps each wire within its block of equal signatures, in the order the
+// transforms follow (each block's wires permuted lexicographically, the
+// last block most significant), on the spec and then on its inverse,
+// keeping the first strictly smaller image.
+struct ReferenceForm {
+  TruthTable representative;
+  std::vector<int> sigma;
+  bool inverted = false;
+};
+
+void reference_scan(const TruthTable& f, bool inverted, ReferenceForm& best) {
+  const int n = f.num_vars();
+  // Per input weight: how often each output bit is 1, and how often it
+  // differs from the input bit.
+  std::vector<std::vector<int>> sig(n, std::vector<int>(2 * (n + 1), 0));
+  for (std::uint64_t x = 0; x < f.size(); ++x) {
+    const int w = std::popcount(x);
+    for (int i = 0; i < n; ++i) {
+      sig[i][w] += static_cast<int>((f(x) >> i) & 1u);
+      sig[i][n + 1 + w] += static_cast<int>(((f(x) ^ x) >> i) & 1u);
+    }
+  }
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int a, int b) { return sig[a] < sig[b]; });
+  std::vector<std::vector<int>> blocks;  // wires, ascending
+  std::vector<int> first_position;
+  for (int pos = 0; pos < n; ++pos) {
+    if (pos == 0 || sig[order[pos]] != sig[order[pos - 1]]) {
+      blocks.emplace_back();
+      first_position.push_back(pos);
+    }
+    blocks.back().push_back(order[pos]);
+  }
+  std::vector<int> sigma(n);
+  while (true) {
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      for (std::size_t j = 0; j < blocks[b].size(); ++j) {
+        sigma[blocks[b][j]] = first_position[b] + static_cast<int>(j);
+      }
+    }
+    const TruthTable candidate = conjugate(f, sigma);
+    if (best.sigma.empty() ||
+        candidate.image() < best.representative.image()) {
+      best = {candidate, sigma, inverted};
+    }
+    std::size_t b = 0;
+    while (b < blocks.size() &&
+           !std::next_permutation(blocks[b].begin(), blocks[b].end())) {
+      ++b;
+    }
+    if (b == blocks.size()) return;
+  }
+}
+
+TEST(Canonical, TiedRelabelingsAcrossBlocksMatchBruteForce) {
+  // Independent CNOTs on wire pairs, or Toffolis on wire triples: the
+  // automorphisms permute the groups, so each moves wires of two or three
+  // signature blocks at once, and the canonicalizer must pick the stored
+  // relabeling among the tied ones itself. exact_max_vars = 0 puts every
+  // width in the signature candidate sets.
+  std::mt19937_64 rng(1008);
+  CanonicalOptions options;
+  options.exact_max_vars = 0;
+  for (int n = 3; n <= 8; ++n) {
+    for (const int group : {2, 3}) {
+      std::vector<std::uint64_t> image(std::uint64_t{1} << n);
+      for (std::uint64_t x = 0; x < image.size(); ++x) {
+        image[x] = x;
+        for (int i = 0; i + group <= n; i += group) {
+          const std::uint64_t controls = ((std::uint64_t{1} << (group - 1)) - 1)
+                                         << i;
+          if ((x & controls) == controls) {
+            image[x] ^= std::uint64_t{1} << (i + group - 1);
+          }
+        }
+      }
+      const TruthTable base(std::move(image));
+      for (int k = 0; k < 4; ++k) {
+        TruthTable spec = k == 0 ? base : conjugate(base, random_sigma(n, rng));
+        if (k > 0 && (rng() & 1u) != 0) spec = spec.inverse();
+        ReferenceForm expected;
+        reference_scan(spec, false, expected);
+        reference_scan(spec.inverse(), true, expected);
+        const CanonicalForm form = canonicalize(spec, options);
+        EXPECT_EQ(form.representative, expected.representative)
+            << "n=" << n << " group=" << group << " k=" << k;
+        EXPECT_EQ(form.transform.sigma, expected.sigma)
+            << "n=" << n << " group=" << group << " k=" << k;
+        EXPECT_EQ(form.transform.inverted, expected.inverted)
+            << "n=" << n << " group=" << group << " k=" << k;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -408,5 +408,24 @@ TEST(Batch, WarmDiskCacheServesASecondBatch) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Batch, CachedCircuitOfTheWrongWidthIsAMiss) {
+  // A store entry holding a circuit of another width (a corrupt file, or a
+  // key collision across widths) must degrade to a miss like any entry
+  // that fails verification, not throw out of the reconstruction.
+  const TruthTable spec(
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 14});
+  SynthCache cache(SynthCacheOptions{});
+  cache.insert(canonicalize(spec).key, toy_circuit(3, 1));
+  BatchOptions options;
+  options.cache = &cache;
+  const BatchResult result = run_batch({BatchJob{"tof4", spec}}, options);
+  ASSERT_EQ(result.outcomes.size(), 1u);
+  const BatchJobOutcome& out = result.outcomes[0];
+  EXPECT_TRUE(out.status.ok());
+  EXPECT_FALSE(out.cache_hit);
+  EXPECT_TRUE(out.verified);
+  EXPECT_EQ(out.result.circuit.to_truth_table(), spec);
+}
+
 }  // namespace
 }  // namespace rmrls

@@ -556,11 +556,14 @@ int main(int argc, char** argv) {
     bool verified = false;
     Status run_status;
     if (cache_enabled) {
-      if (std::optional<Circuit> cached = cache->lookup(canonical_form.key)) {
+      std::optional<Circuit> cached = cache->lookup(canonical_form.key);
+      // Mandatory re-verification: a hash collision or corrupt disk entry
+      // (a circuit of another width included) fails here and degrades to
+      // a plain miss, whose insert below overwrites the entry.
+      if (cached.has_value() &&
+          cached->num_lines() == table_spec->num_vars()) {
         Circuit rebuilt =
             reconstruct_circuit(*cached, canonical_form.transform);
-        // Mandatory re-verification: a hash collision or corrupt disk
-        // entry fails here and degrades to a plain miss.
         if (equivalent(rebuilt, spec)) {
           result.success = true;
           result.circuit = std::move(rebuilt);
