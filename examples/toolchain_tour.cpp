@@ -2,7 +2,7 @@
 /// \brief Post-synthesis toolchain in one pass: synthesize a benchmark,
 /// simplify with templates, extract Fredkin gates (the paper's Section VI
 /// future work), lower to the NCT library (Barenco decomposition), check
-/// every step exactly equivalent, and export .tfc / .real.
+/// every step exactly equivalent, and export .tfc.
 ///
 /// Build & run:  ./build/examples/toolchain_tour [benchmark]
 /// (default: shift10 — wide gates make the lowering interesting)
@@ -12,7 +12,6 @@
 
 #include "bench_suite/registry.hpp"
 #include "core/synthesizer.hpp"
-#include "io/real_format.hpp"
 #include "io/tfc.hpp"
 #include "rev/circuit_stats.hpp"
 #include "rev/decompose.hpp"
@@ -63,7 +62,6 @@ int main(int argc, char** argv) {
 
   // 5. Export.
   std::cout << "--- .tfc (simplified GT cascade) ---\n"
-            << write_tfc(simplified) << "\n--- .real (mixed cascade) ---\n"
-            << write_real(fr.circuit);
+            << write_tfc(simplified);
   return 0;
 }

@@ -23,7 +23,7 @@ namespace rmrls {
 enum class StatusCode : std::uint8_t {
   kOk = 0,
   kInvalidArgument,   ///< caller misuse: bad option values, width mismatch
-  kParseError,        ///< malformed input text (.tfc / .real / spec)
+  kParseError,        ///< malformed input text (.tfc / spec)
   kInvalidSpec,       ///< well-formed text, semantically invalid function
                       ///< (non-bijective image, size not a power of two)
   kBudgetExhausted,   ///< every engine ran out of budget without a circuit

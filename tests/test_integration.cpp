@@ -8,12 +8,9 @@
 #include "baselines/transformation_based.hpp"
 #include "bench_suite/registry.hpp"
 #include "core/synthesizer.hpp"
-#include "esop/esop.hpp"
-#include "esop/minimize.hpp"
 #include "io/spec.hpp"
 #include "io/tfc.hpp"
 #include "rev/embedding.hpp"
-#include "rev/pprm_transform.hpp"
 #include "rev/quantum_cost.hpp"
 #include "templates/simplify.hpp"
 
@@ -44,21 +41,6 @@ TEST(Integration, EmbedSynthesizeVerifyAdder) {
   // needs 4 gates; our automatic occurrence-counter embedding is a harder
   // function, so allow headroom while still catching regressions.
   EXPECT_LE(r.circuit.gate_count(), 16);
-}
-
-TEST(Integration, EsopPipelineMatchesDirectTransform) {
-  // Section II-E: spec -> ESOP (minimized) -> PPRM must equal the
-  // canonical PPRM from the Moebius transform.
-  const TruthTable fig1({1, 0, 7, 2, 3, 4, 5, 6});
-  const Pprm direct = pprm_of_truth_table(fig1);
-  for (int out = 0; out < 3; ++out) {
-    std::vector<std::uint8_t> f(8);
-    for (std::uint64_t x = 0; x < 8; ++x) {
-      f[x] = static_cast<std::uint8_t>((fig1.apply(x) >> out) & 1);
-    }
-    const Esop minimized = minimize_esop(Esop::from_truth_vector(f)).esop;
-    EXPECT_EQ(minimized.to_pprm(), direct.output(out)) << "output " << out;
-  }
 }
 
 TEST(Integration, SynthesizeWriteTfcReadVerify) {

@@ -1,16 +1,14 @@
 // Tests for the hardened (checked) parsers of io/: malformed input must
 // come back as a structured Status with a file:line diagnostic, never as
 // an exception or a crash (docs/robustness.md). The throwing wrappers are
-// covered separately in test_io.cpp / test_real_format.cpp; here we pin
-// the Status categories and diagnostics of the checked layer against a
-// malformed-input corpus.
+// covered separately in test_io.cpp; here we pin the Status categories and
+// diagnostics of the checked layer against a malformed-input corpus.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "core/status.hpp"
-#include "io/real_format.hpp"
 #include "io/spec.hpp"
 #include "io/tfc.hpp"
 
@@ -124,60 +122,6 @@ TEST(TfcRobustness, TooManyLines) {
 
 TEST(TfcRobustness, ThrowingWrapperStillThrows) {
   EXPECT_THROW((void)read_tfc(".v a\nBEGIN\n"), std::invalid_argument);
-}
-
-// --- .real -----------------------------------------------------------------
-
-Status real_status(const std::string& text) {
-  const Result<RealCircuit> r = read_real_checked(text, "in.real");
-  EXPECT_FALSE(r.ok()) << text;
-  return r.status();
-}
-
-TEST(RealRobustness, AcceptsWellFormed) {
-  const Result<RealCircuit> r = read_real_checked(
-      ".numvars 2\n.variables a b\n.begin\nt2 a b\n.end\n", "in.real");
-  ASSERT_TRUE(r.ok()) << r.status().to_string();
-  EXPECT_EQ(r.value().circuit.gate_count(), 1);
-}
-
-TEST(RealRobustness, TruncatedFile) {
-  const Status s = real_status(".variables a b\n.begin\nt2 a b\n");
-  EXPECT_EQ(s.code(), StatusCode::kParseError);
-  EXPECT_NE(s.to_string().find("in.real:"), std::string::npos);
-}
-
-TEST(RealRobustness, NumvarsOutOfRange) {
-  EXPECT_EQ(real_status(".numvars 0\n.variables\n.begin\n.end\n").code(),
-            StatusCode::kParseError);
-  EXPECT_EQ(real_status(".numvars 65\n.begin\n.end\n").code(),
-            StatusCode::kParseError);
-  EXPECT_EQ(
-      real_status(".numvars 3\n.variables a b\n.begin\n.end\n").code(),
-      StatusCode::kParseError);
-}
-
-TEST(RealRobustness, MarkersAndBadGates) {
-  const std::string header = ".variables a b\n.begin\n";
-  EXPECT_EQ(real_status(header + "t2 -a b\n.end\n").code(),
-            StatusCode::kParseError);  // negative-control marker
-  EXPECT_EQ(real_status(header + "g2 a b\n.end\n").code(),
-            StatusCode::kParseError);  // unknown gate kind
-  EXPECT_EQ(real_status(header + "f1 a\n.end\n").code(),
-            StatusCode::kParseError);  // Fredkin needs two targets
-  EXPECT_EQ(real_status(header + "t2 a a\n.end\n").code(),
-            StatusCode::kParseError);  // target repeated as control
-}
-
-TEST(RealRobustness, DuplicateVariables) {
-  const Status s = real_status(".variables a a\n.begin\n.end\n");
-  EXPECT_EQ(s.code(), StatusCode::kParseError);
-  EXPECT_EQ(s.line(), 1);
-}
-
-TEST(RealRobustness, ThrowingWrapperStillThrows) {
-  EXPECT_THROW((void)read_real(".variables a\n.begin\n"),
-               std::invalid_argument);
 }
 
 // --- permutation specs -----------------------------------------------------

@@ -11,6 +11,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "bench_suite/registry.hpp"
 #include "core/batch.hpp"
@@ -58,6 +59,15 @@ void install_cancel_signals() {
 #ifdef SIGHUP
   std::signal(SIGHUP, handle_cancel_signal);
 #endif
+}
+
+/// Flushes `out` and reports whether everything written to it arrived;
+/// prints "error: cannot write NAME" when it did not (a full disk,
+/// /dev/full).
+bool flushed(std::ostream& out, const std::string& name) {
+  if (out.flush()) return true;
+  std::cerr << "error: cannot write " << name << "\n";
+  return false;
 }
 
 }  // namespace
@@ -226,7 +236,8 @@ int main(int argc, char** argv) {
       .flag("--templates", run_templates,
             "post-process with the template pass")
       .flag("--fredkin", run_fredkinize,
-            "extract Fredkin gates (mixed output)")
+            "extract Fredkin gates (mixed output, text only: not with"
+            " --tfc)")
       .flag("--bidir", bidirectional, "also try the inverse direction")
       .flag("--tfc", emit_tfc, "print the circuit in .tfc format");
   flags.section("Observability:")
@@ -249,11 +260,12 @@ int main(int argc, char** argv) {
       .flag("--progress", progress,
             "human-readable search progress on stderr");
   flags.footer(
-      "Exit codes: 0 success; 2 usage / invalid argument; 3 unreadable\n"
-      "or malformed input; 4 budget exhausted without a circuit;\n"
-      "5 cancelled (SIGINT/SIGTERM/SIGHUP); 6 internal error\n"
-      "(verification failure); 7 server unavailable (rmrls-serve load\n"
-      "shed — retryable, see docs/serving.md).");
+      "Exit codes: 0 success; 1 an output could not be opened or written;\n"
+      "2 usage / invalid argument; 3 unreadable or malformed input;\n"
+      "4 budget exhausted without a circuit; 5 cancelled\n"
+      "(SIGINT/SIGTERM/SIGHUP); 6 internal error (verification failure);\n"
+      "7 server unavailable (rmrls-serve load shed — retryable, see\n"
+      "docs/serving.md).");
   flags.parse(argc, argv);
   const auto usage = [&] {
     flags.print_help(std::cerr, argv[0]);
@@ -265,8 +277,22 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (threads != 1 && batch_file.empty()) {
-    std::cerr << "error: --threads applies to --batch only\n";
+  if (batch_file.empty()) {
+    // These shape a --batch run only; anywhere else they are refused
+    // instead of silently ignored.
+    for (const auto& [name, given] :
+         {std::pair{"--threads", threads != 1},
+          std::pair{"--shard", shard_count != 1},
+          std::pair{"--checkpoint", !checkpoint_file.empty()},
+          std::pair{"--cache-gc-mb", cache_gc_mb != 0}}) {
+      if (given) {
+        std::cerr << "error: " << name << " applies to --batch only\n";
+        return usage();
+      }
+    }
+  }
+  if (run_fredkinize && emit_tfc) {
+    std::cerr << "error: --fredkin output has no .tfc form\n";
     return usage();
   }
   if (no_extra) {
@@ -310,6 +336,14 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
+    // Each exit that reports a run flushes the outputs first: a write
+    // that failed on any of them turns the exit code into 1.
+    const auto finish = [&](int code) {
+      bool ok = flushed(std::cout, "<stdout>");
+      if (trace_out.is_open()) ok = flushed(trace_out, trace_file) && ok;
+      if (metrics_out.is_open()) ok = flushed(metrics_out, metrics_file) && ok;
+      return ok ? code : 1;
+    };
     // Live telemetry (docs/observability.md): arming must precede the
     // construction of everything that caches instrument handles (caches,
     // engines, the batch driver).
@@ -467,7 +501,7 @@ int main(int argc, char** argv) {
         }
         writer.write(summary);
       }
-      return exit_code_for(br.status.code());
+      return finish(exit_code_for(br.status.code()));
     }
 
     Pprm spec;
@@ -621,7 +655,7 @@ int main(int argc, char** argv) {
     // One JSONL record per run: counters + termination + phase timings +
     // circuit stats (gates/cost -1 when the synthesis failed).
     const auto write_metrics = [&](const Circuit* circuit) {
-      if (metrics_file.empty()) return true;
+      if (metrics_file.empty()) return;
       MetricsRegistry record;
       record.set("name", input_name).set("vars", spec.num_vars());
       record.set("success", result.success);
@@ -643,7 +677,6 @@ int main(int argc, char** argv) {
         record.set("gates", -1).set("quantum_cost", -1);
       }
       MetricsWriter(metrics_out).write(record);
-      return true;
     };
 
     if (!result.success) {
@@ -657,10 +690,11 @@ int main(int argc, char** argv) {
                   << " terms remaining\n";
       }
       write_metrics(nullptr);
-      if (resilient_mode) return exit_code_for(run_status.code());
-      return exit_code_for(result.termination == TerminationReason::kCancelled
-                               ? StatusCode::kCancelled
-                               : StatusCode::kBudgetExhausted);
+      if (resilient_mode) return finish(exit_code_for(run_status.code()));
+      return finish(exit_code_for(
+          result.termination == TerminationReason::kCancelled
+              ? StatusCode::kCancelled
+              : StatusCode::kBudgetExhausted));
     }
     Circuit circuit = result.circuit;
     if (run_templates) {
@@ -670,7 +704,7 @@ int main(int argc, char** argv) {
       std::cerr << "internal error: circuit fails verification\n";
       return exit_code_for(StatusCode::kInternal);
     }
-    if (!write_metrics(&circuit)) return 1;
+    write_metrics(&circuit);
     if (run_fredkinize) {
       const FredkinizeResult fr = fredkinize(circuit);
       std::cout << fr.circuit.to_string() << "\n";
@@ -680,7 +714,7 @@ int main(int argc, char** argv) {
                 << "  nodes: " << result.stats.nodes_expanded
                 << "  termination: " << to_string(result.termination)
                 << "\n";
-      return 0;
+      return finish(0);
     }
     // Stats go to stderr in .tfc mode so stdout stays a valid .tfc file.
     std::ostream& stats_out = emit_tfc ? std::cerr : std::cout;
@@ -697,7 +731,7 @@ int main(int argc, char** argv) {
     if (!metrics_file.empty()) {
       stats_out << "\nphase profile:\n" << profile.to_string();
     }
-    return 0;
+    return finish(0);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return exit_code_for(StatusCode::kInternal);
