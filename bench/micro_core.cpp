@@ -1,8 +1,9 @@
 /// \file micro_core.cpp
 /// \brief google-benchmark microbenchmarks for the library's hot paths:
-/// the Reed-Muller transform, PPRM substitution, state hashing, candidate
-/// enumeration, circuit simulation, and end-to-end synthesis of small
-/// specs. These back the performance claims in EXPERIMENTS.md.
+/// the Reed-Muller transform, exact equivalence, .tfc writing, PPRM
+/// substitution, state hashing, candidate enumeration, circuit simulation,
+/// and end-to-end synthesis of small specs. These back the performance
+/// claims in EXPERIMENTS.md.
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +22,7 @@
 #include "core/resilient.hpp"
 #include "core/synth_cache.hpp"
 #include "core/synthesizer.hpp"
+#include "io/tfc.hpp"
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -55,7 +57,35 @@ void BM_PprmOfTruthTable(benchmark::State& state) {
     benchmark::DoNotOptimize(pprm_of_truth_table(tt));
   }
 }
-BENCHMARK(BM_PprmOfTruthTable)->Arg(3)->Arg(5)->Arg(8)->Arg(12);
+BENCHMARK(BM_PprmOfTruthTable)
+    ->Arg(3)->Arg(4)->Arg(5)->Arg(7)->Arg(8)->Arg(10)->Arg(12);
+
+// The exact check every cache hit pays: a random GT cascade (n lines,
+// the given gate count) against its own PPRM. Bit-sliced simulation up
+// to kMaxSimulatedLines, reverse substitution above.
+void BM_Equivalent(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int gates = static_cast<int>(state.range(1));
+  std::mt19937_64 rng(25);
+  const Circuit c = random_circuit(n, gates, GateLibrary::kGT, rng);
+  const Pprm spec = c.to_pprm();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(equivalent(c, spec));
+  }
+}
+BENCHMARK(BM_Equivalent)
+    ->ArgsProduct({{4, 7, 10, 14, 16}, {32, 128}})
+    ->Unit(benchmark::kMicrosecond);
+
+// .tfc text of a 32-gate n = 7 cascade, written after every batch job.
+void BM_WriteTfc(benchmark::State& state) {
+  std::mt19937_64 rng(26);
+  const Circuit c = random_circuit(7, 32, GateLibrary::kGT, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(write_tfc(c));
+  }
+}
+BENCHMARK(BM_WriteTfc);
 
 void BM_Substitution(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -1,5 +1,6 @@
 #include "io/tfc.hpp"
 
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <map>
@@ -11,9 +12,19 @@ namespace rmrls {
 
 namespace {
 
-std::string line_name(int v, int num_lines) {
-  if (num_lines <= 26) return std::string(1, static_cast<char>('a' + v));
-  return "x" + std::to_string(v);
+void append_number(std::string& out, int value) {
+  char buf[12];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
+/// Appends line `v`'s name: a, b, c, ... up to 26 lines, else x0, x1, ...
+void append_line_name(std::string& out, int v, int num_lines) {
+  if (num_lines <= 26) {
+    out.push_back(static_cast<char>('a' + v));
+    return;
+  }
+  out.push_back('x');
+  append_number(out, v);
 }
 
 std::vector<std::string> split_commas(const std::string& s) {
@@ -34,31 +45,33 @@ std::vector<std::string> split_commas(const std::string& s) {
 }  // namespace
 
 std::string write_tfc(const Circuit& c) {
-  std::ostringstream os;
   const int n = c.num_lines();
-  const auto names = [n] {
-    std::string s;
-    for (int v = 0; v < n; ++v) {
-      if (v != 0) s += ",";
-      s += line_name(v, n);
-    }
-    return s;
-  }();
-  os << ".v " << names << "\n.i " << names << "\n.o " << names << "\nBEGIN\n";
-  for (const Gate& g : c.gates()) {
-    os << "t" << g.size() << " ";
-    bool first = true;
-    for (int v = 0; v < n; ++v) {
-      if (!cube_has_var(g.controls, v)) continue;
-      if (!first) os << ",";
-      os << line_name(v, n);
-      first = false;
-    }
-    if (!first) os << ",";
-    os << line_name(g.target, n) << "\n";
+  std::string names;
+  for (int v = 0; v < n; ++v) {
+    if (v != 0) names.push_back(',');
+    append_line_name(names, v, n);
   }
-  os << "END\n";
-  return os.str();
+  std::string out;
+  out.reserve(3 * names.size() + 24 + 16 * c.gates().size());
+  for (const char* section : {".v ", ".i ", ".o "}) {
+    out += section;
+    out += names;
+    out.push_back('\n');
+  }
+  out += "BEGIN\n";
+  for (const Gate& g : c.gates()) {
+    out.push_back('t');
+    append_number(out, g.size());
+    out.push_back(' ');
+    for (Cube rest = g.controls; rest != 0; rest &= rest - 1) {
+      append_line_name(out, std::countr_zero(rest), n);
+      out.push_back(',');
+    }
+    append_line_name(out, g.target, n);
+    out.push_back('\n');
+  }
+  out += "END\n";
+  return out;
 }
 
 Result<Circuit> read_tfc_checked(const std::string& text,

@@ -47,11 +47,6 @@ void Circuit::append(const Gate& g) {
   gates_.push_back(g);
 }
 
-void Circuit::prepend(const Gate& g) {
-  check_gate_fits(g, num_lines_);
-  gates_.insert(gates_.begin(), g);
-}
-
 std::uint64_t Circuit::simulate(std::uint64_t x) const {
   for (const Gate& g : gates_) x = g.apply(x);
   return x;

@@ -34,8 +34,6 @@ class Circuit {
   /// Appends `g` at the output end. Throws if the gate touches a line
   /// outside the circuit.
   void append(const Gate& g);
-  /// Inserts `g` at the input end.
-  void prepend(const Gate& g);
 
   /// Feeds basis state `x` through the cascade, first gate first.
   [[nodiscard]] std::uint64_t simulate(std::uint64_t x) const;

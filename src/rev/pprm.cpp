@@ -1,6 +1,7 @@
 #include "rev/pprm.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -24,6 +25,13 @@ std::string cube_to_string(Cube c, int num_vars) {
 }
 
 CubeList::CubeList(std::vector<Cube> cubes) : cubes_(std::move(cubes)) {
+  // Strictly ascending input, as the transforms emit it, is already
+  // sorted and duplicate-free.
+  if (std::adjacent_find(cubes_.begin(), cubes_.end(),
+                         std::greater_equal<Cube>()) == cubes_.end()) {
+    for (const Cube c : cubes_) hash_ ^= cube_hash(c);
+    return;
+  }
   std::sort(cubes_.begin(), cubes_.end());
   // XOR semantics: pairs of identical cubes cancel.
   std::vector<Cube> kept;

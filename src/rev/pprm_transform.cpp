@@ -3,6 +3,8 @@
 #include <bit>
 #include <stdexcept>
 
+#include "rev/bitslice.hpp"
+
 namespace rmrls {
 
 void reed_muller_transform(std::vector<std::uint8_t>& f) {
@@ -27,16 +29,9 @@ CubeList pprm_of_truth_vector(std::vector<std::uint8_t> f) {
 }
 
 Pprm pprm_of_truth_table(const TruthTable& tt) {
-  const int n = tt.num_vars();
-  Pprm p(n);
-  std::vector<std::uint8_t> f(tt.size());
-  for (int out = 0; out < n; ++out) {
-    for (std::uint64_t x = 0; x < tt.size(); ++x) {
-      f[x] = static_cast<std::uint8_t>((tt.apply(x) >> out) & 1);
-    }
-    p.output(out) = pprm_of_truth_vector(f);
-  }
-  return p;
+  SlicedTable table(tt);
+  table.moebius_transform();
+  return table.to_pprm();
 }
 
 TruthTable truth_table_of_pprm(const Pprm& p) {

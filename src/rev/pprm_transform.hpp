@@ -26,7 +26,8 @@ void reed_muller_transform(std::vector<std::uint8_t>& f);
 [[nodiscard]] CubeList pprm_of_truth_vector(std::vector<std::uint8_t> f);
 
 /// PPRM system of a reversible function. Output i of the system is bit i of
-/// the permutation image.
+/// the permutation image. Runs the transform bit-sliced, 64 inputs to a
+/// word (rev/bitslice.hpp).
 [[nodiscard]] Pprm pprm_of_truth_table(const TruthTable& tt);
 
 /// Exhaustive evaluation of a PPRM system back into a permutation. Throws

@@ -70,5 +70,54 @@ TEST(Equivalence, TemplatePassesArePprmExact) {
   }
 }
 
+// Differential check of the simulation path against reverse substitution,
+// on both sides of kMaxSimulatedLines (above it the two coincide).
+TEST(Equivalence, SimulationMatchesReverseSubstitution) {
+  EXPECT_TRUE(equivalent(Circuit(0), Pprm(0)));
+  EXPECT_TRUE(equivalent(Circuit(0), Circuit(0)));
+  std::mt19937_64 rng(75);
+  for (int n = 1; n <= kMaxSimulatedLines + 2; ++n) {
+    for (const GateLibrary lib : {GateLibrary::kGT, GateLibrary::kNCT}) {
+      for (int trial = 0; trial < 3; ++trial) {
+        const int gates = 1 + static_cast<int>(rng() % 16);
+        const Circuit base = random_circuit(n, gates, lib, rng);
+        const Pprm spec = base.to_pprm();
+        const auto random_gate = [&] {
+          return random_circuit(n, 1, lib, rng).gates()[0];
+        };
+        Circuit appended = base;
+        appended.append(random_gate());
+        std::vector<Gate> replaced_gates = base.gates();
+        replaced_gates[rng() % replaced_gates.size()] = random_gate();
+        const Circuit replaced(n, std::move(replaced_gates));
+        for (const Circuit& c : {base, appended, replaced}) {
+          const Pprm own = c.to_pprm();
+          EXPECT_EQ(equivalent(c, spec), own == spec)
+              << "n=" << n << " trial=" << trial;
+          EXPECT_EQ(equivalent(c, base), own == spec)
+              << "n=" << n << " trial=" << trial;
+        }
+        EXPECT_TRUE(equivalent(base, spec));
+
+        // Specs one cube off: a cube over the circuit's lines, and one
+        // over a variable the circuit does not have.
+        const int out = static_cast<int>(rng() % static_cast<unsigned>(n));
+        const Cube inside = rng() & ((Cube{1} << n) - 1);
+        const Cube foreign =
+            cube_of_var(n + static_cast<int>(rng() % (kMaxVariables - n))) |
+            inside;
+        for (const Cube cube : {inside, foreign}) {
+          Pprm toggled = spec;
+          toggled.output(out).toggle(cube);
+          EXPECT_FALSE(equivalent(base, toggled))
+              << "n=" << n << " cube=" << cube;
+          EXPECT_EQ(equivalent(appended, toggled),
+                    appended.to_pprm() == toggled);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rmrls

@@ -25,6 +25,40 @@ TEST(Tfc, WriteContainsExpectedSections) {
   EXPECT_NE(text.find("END"), std::string::npos);
 }
 
+// Exact bytes of the writer, with letter names and with x names.
+TEST(Tfc, WriteExactBytes) {
+  Circuit small(3);
+  small.append(Gate(cube_of_var(0) | cube_of_var(2), 1));
+  small.append(Gate(kConstOne, 0));
+  small.append(Gate(cube_of_var(1), 2));
+  EXPECT_EQ(write_tfc(small),
+            ".v a,b,c\n"
+            ".i a,b,c\n"
+            ".o a,b,c\n"
+            "BEGIN\n"
+            "t3 a,c,b\n"
+            "t1 a\n"
+            "t2 b,c\n"
+            "END\n");
+  EXPECT_EQ(write_tfc(Circuit(3)),
+            ".v a,b,c\n.i a,b,c\n.o a,b,c\nBEGIN\nEND\n");
+
+  Circuit wide(27);
+  wide.append(Gate(cube_of_var(0) | cube_of_var(9) | cube_of_var(26), 13));
+  wide.append(Gate(kConstOne, 26));
+  wide.append(Gate(cube_of_var(25), 10));
+  const std::string names =
+      "x0,x1,x2,x3,x4,x5,x6,x7,x8,x9,x10,x11,x12,x13,x14,x15,x16,x17,x18,"
+      "x19,x20,x21,x22,x23,x24,x25,x26";
+  EXPECT_EQ(write_tfc(wide), ".v " + names + "\n.i " + names + "\n.o " +
+                                 names +
+                                 "\nBEGIN\n"
+                                 "t4 x0,x9,x26,x13\n"
+                                 "t1 x26\n"
+                                 "t2 x25,x10\n"
+                                 "END\n");
+}
+
 TEST(Tfc, RoundTripPreservesCircuits) {
   std::mt19937_64 rng(61);
   for (int n : {2, 3, 5, 8, 27}) {

@@ -78,6 +78,30 @@ TEST_P(TransformRoundTrip, PprmEvalMatchesTable) {
 INSTANTIATE_TEST_SUITE_P(Widths, TransformRoundTrip,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 8));
 
+// The bit-sliced pprm_of_truth_table against the byte-wise transform of
+// each output's truth vector: the same terms, hence the same hash.
+TEST(PprmOfTruthTable, MatchesPerOutputTruthVectors) {
+  std::mt19937_64 rng(31);
+  for (int n = 1; n <= 14; ++n) {
+    const TruthTable tables[] = {
+        random_reversible_function(n, rng),
+        random_circuit(n, 4 * n, GateLibrary::kNCT, rng).to_truth_table()};
+    for (const TruthTable& tt : tables) {
+      Pprm expected(n);
+      std::vector<std::uint8_t> f(tt.size());
+      for (int out = 0; out < n; ++out) {
+        for (std::uint64_t x = 0; x < tt.size(); ++x) {
+          f[x] = static_cast<std::uint8_t>((tt.apply(x) >> out) & 1);
+        }
+        expected.output(out) = pprm_of_truth_vector(f);
+      }
+      const Pprm got = pprm_of_truth_table(tt);
+      EXPECT_EQ(got, expected) << "n=" << n;
+      EXPECT_EQ(got.hash(), expected.hash()) << "n=" << n;
+    }
+  }
+}
+
 TEST(PprmOfTruthVector, ConstantFunctions) {
   EXPECT_TRUE(pprm_of_truth_vector({0, 0, 0, 0}).empty());
   const CubeList one = pprm_of_truth_vector({1, 1, 1, 1});

@@ -186,8 +186,9 @@ int main(int argc, char** argv) {
             "per-stage elimination priority (the default)", false);
   flags.section("Caching and batch throughput (docs/caching.md):")
       .number("--cache-mb", cache_mb, "N",
-              "in-memory orbit-cache budget in MiB (0 = off; default 64 in"
-              " --batch mode, otherwise 0, or 64 when --cache-dir is given)",
+              "in-memory orbit-cache budget in MiB (0 = off, not allowed"
+              " with --cache-dir; default 64 in --batch mode or with"
+              " --cache-dir, otherwise 0)",
               0, kMaxMebibytes)
       .text("--cache-dir", cache_dir, "DIR",
             "on-disk circuit store (one .tfc per canonical key); persists"
@@ -234,11 +235,12 @@ int main(int argc, char** argv) {
             false);
   flags.section("Post-processing and output:")
       .flag("--templates", run_templates,
-            "post-process with the template pass")
+            "post-process with the template pass (single-shot runs only)")
       .flag("--fredkin", run_fredkinize,
             "extract Fredkin gates (mixed output, text only: not with"
-            " --tfc)")
-      .flag("--bidir", bidirectional, "also try the inverse direction")
+            " --tfc; single-shot runs only)")
+      .flag("--bidir", bidirectional,
+            "also try the inverse direction (single-shot runs only)")
       .flag("--tfc", emit_tfc, "print the circuit in .tfc format");
   flags.section("Observability:")
       .text("--trace", trace_file, "FILE",
@@ -290,6 +292,23 @@ int main(int argc, char** argv) {
         return usage();
       }
     }
+  } else {
+    // These shape one circuit; a batch run would silently ignore them.
+    for (const auto& [name, given] :
+         {std::pair{"--templates", run_templates},
+          std::pair{"--fredkin", run_fredkinize},
+          std::pair{"--bidir", bidirectional}}) {
+      if (given) {
+        std::cerr << "error: " << name
+                  << " applies to single-shot runs only\n";
+        return usage();
+      }
+    }
+  }
+  if (cache_mb == 0 && !cache_dir.empty()) {
+    std::cerr << "error: --cache-dir needs a cache, and --cache-mb 0 turns"
+                 " it off\n";
+    return usage();
   }
   if (run_fredkinize && emit_tfc) {
     std::cerr << "error: --fredkin output has no .tfc form\n";
