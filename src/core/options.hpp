@@ -93,13 +93,14 @@ struct SynthesisOptions {
   bool use_transposition_table = true;
 
   /// Memory ceiling of the bounded transposition table in megabytes
-  /// (core/transposition.hpp, CLI `--tt-mb`). The table starts at 4 KiB
-  /// and doubles on demand, so a small search pays only for the entries it
-  /// makes; once the table has reached this ceiling, a full bucket evicts
-  /// its oldest-generation entry (the deepest among equals) instead of
-  /// allocating, so long runs hold steady-state memory. Growth never
-  /// changes a result: a grown table answers every lookup exactly like one
-  /// built at the ceiling.
+  /// (core/transposition.hpp, CLI `--tt-mb`). The ceiling fixes the
+  /// bucket array whose answers the table gives: a fifth entry for one of
+  /// its buckets evicts the oldest-generation entry (the deepest among
+  /// equals), so long runs hold steady-state memory. The table itself
+  /// starts at 4 KiB and doubles once its entries fill half its slots, so
+  /// a search pays only for the entries it makes. Growth never changes a
+  /// result: the table answers every lookup exactly like one built at the
+  /// ceiling.
   int tt_mb = 64;
 
   /// The transposition table the engines dedup against (non-owning, like

@@ -10,6 +10,7 @@
 #include "obs/phase_profile.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "rev/equivalence.hpp"
 #include "rev/pprm_transform.hpp"
 #include "rev/quantum_cost.hpp"
 
@@ -355,12 +356,7 @@ bool implements(const Circuit& circuit, const TruthTable& spec) {
 bool implements(const Circuit& circuit, const Pprm& spec, int samples) {
   const int n = spec.num_vars();
   if (circuit.num_lines() != n) return false;
-  if (n <= 16) {
-    for (std::uint64_t x = 0; x < (std::uint64_t{1} << n); ++x) {
-      if (circuit.simulate(x) != spec.eval(x)) return false;
-    }
-    return true;
-  }
+  if (n <= 16) return equivalent(circuit, spec);
   const std::uint64_t mask =
       n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
   // Deterministic sampling: low corner points catch constant-offset bugs,

@@ -1,7 +1,11 @@
 #include "core/transposition.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstdlib>
 #include <new>
+#include <tuple>
 
 #include "rev/pprm.hpp"  // splitmix64
 
@@ -26,19 +30,44 @@ std::size_t round_up_pow2(std::size_t n) {
 TranspositionTable::TranspositionTable(int mb) {
   const std::size_t budget = static_cast<std::size_t>(mb < 1 ? 1 : mb) << 20;
   ceiling_ = round_down_pow2(budget / sizeof(Bucket));
-  init(std::min(ceiling_, kStartBytes / sizeof(Bucket)));
+  ceiling_mask_ = ceiling_ - 1;
+  buckets_ = std::min(ceiling_, kStartBytes / sizeof(Bucket));
+  table_ = allocate(buckets_);
+  if (!table_) throw std::bad_alloc();
 }
 
 TranspositionTable::TranspositionTable(const Config& config) {
   ceiling_ = round_up_pow2(config.buckets == 0 ? 1 : config.buckets);
-  init(ceiling_);
+  ceiling_mask_ = ceiling_ - 1;
+  buckets_ = ceiling_;
+  table_ = allocate(buckets_);
+  if (!table_) throw std::bad_alloc();
 }
 
-void TranspositionTable::init(std::size_t buckets) {
-  table_.reset(static_cast<Bucket*>(std::calloc(buckets, sizeof(Bucket))));
-  if (!table_) throw std::bad_alloc();
-  buckets_ = buckets;
-  allocated_ = buckets;
+// Heap arrays up to kHeapLimitBytes: malloc hands the same memory back to
+// the next call's table without page faults. Above, one private mapping
+// per size: glibc would keep a freed large array for reuse, and a search
+// that doubles past it would hold both.
+TranspositionTable::Array TranspositionTable::allocate(std::size_t buckets) {
+  const std::size_t bytes = buckets * sizeof(Bucket);
+  void* p = nullptr;
+  if (bytes <= kHeapLimitBytes) {
+    p = std::calloc(buckets, sizeof(Bucket));
+  } else {
+    p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) p = nullptr;
+  }
+  return Array(static_cast<Bucket*>(p), Release{buckets});
+}
+
+void TranspositionTable::Release::operator()(Bucket* p) const {
+  const std::size_t bytes = buckets * sizeof(Bucket);
+  if (bytes <= kHeapLimitBytes) {
+    std::free(p);
+  } else {
+    munmap(p, bytes);
+  }
 }
 
 bool TranspositionTable::check_and_insert(std::uint64_t hash,
@@ -47,109 +76,106 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
   // consumers' bucketing.
   const std::uint64_t mix = splitmix64(hash);
   const std::uint8_t gen = generation_;
-  Entry* entries =
-      table_[static_cast<std::size_t>(mix) & (buckets_ - 1)].entries;
+  const std::size_t mask = buckets_ - 1;
 
-  Entry* empty = nullptr;
-  for (int i = 0; i < kBucketEntries; ++i) {
-    Entry& e = entries[i];
-    if (e.depth == 0) {
-      if (empty == nullptr) empty = &e;
-      continue;
-    }
-    if (e.hash != hash) continue;
-    if (e.gen == gen) {
-      if (e.depth <= depth) {
-        // Re-visit at the same or a deeper depth: redundant, prune. A
-        // *shallower* rediscovery falls through to the overwrite below —
-        // the fix tests/test_tt_replacement pins (the pruned path could
-        // be the better one).
-        ++counters_.hits;
-        return true;
+  // Walk from the home bucket over the entries of this key's ceiling
+  // bucket (others' spills are skipped) until a free slot, or until all
+  // kBucketEntries of them have been seen. At the ceiling that is the home
+  // bucket alone. Along the way pick the entry the ceiling array would
+  // evict: the oldest generation (wraparound-safe: how many generations
+  // ago it was written), then the deepest, then the lowest slot.
+  const auto victim_rank = [gen](const Entry& e) {
+    return std::tuple(static_cast<std::uint8_t>(gen - e.gen), e.depth,
+                      -int{e.slot});
+  };
+  Entry* free = nullptr;
+  Entry* victim = nullptr;
+  int seen = 0;
+  for (std::size_t b = mix & mask; free == nullptr && seen < kBucketEntries;
+       b = (b + 1) & mask) {
+    for (Entry& e : table_[b].entries) {
+      if (e.depth == 0) {
+        free = &e;  // slots fill in order: the rest of the bucket is free
+        break;
       }
-      e.depth = depth;
-      return false;
-    }
-    // A previous pass's entry: refresh instead of pruning, so a table
-    // shared across the ID ladder / refinement passes never suppresses
-    // the new pass's exploration.
-    e.gen = gen;
-    e.depth = depth;
-    return false;
-  }
-
-  if (empty != nullptr) {
-    *empty = Entry{hash, depth, gen};
-    ++counters_.inserts;
-    ++counters_.entries;
-    return false;
-  }
-
-  // Bucket full. A table built at the ceiling could still have room, so
-  // below the ceiling grow and look again; only a table at its ceiling
-  // evicts: the entry from the oldest generation, the deepest among
-  // equals. The age is wraparound-safe: how many generations ago the
-  // entry was written.
-  if (buckets_ < ceiling_) {
-    grow();
-    return check_and_insert(hash, depth);
-  }
-  Entry* victim = &entries[0];
-  for (int i = 1; i < kBucketEntries; ++i) {
-    const auto age_v = static_cast<std::uint8_t>(gen - victim->gen);
-    const auto age_i = static_cast<std::uint8_t>(gen - entries[i].gen);
-    if (age_i > age_v || (age_i == age_v && entries[i].depth > victim->depth)) {
-      victim = &entries[i];
+      if (((e.mix ^ mix) & ceiling_mask_) != 0) continue;
+      if (e.mix == mix) {
+        if (e.gen == gen) {
+          if (e.depth <= depth) {
+            // Re-visit at the same or a deeper depth: redundant, prune. A
+            // *shallower* rediscovery falls through to the overwrite
+            // below — the fix tests/test_tt_replacement pins (the pruned
+            // path could be the better one).
+            ++counters_.hits;
+            return true;
+          }
+        } else {
+          // A previous pass's entry: refresh instead of pruning, so a
+          // table shared across the ID ladder / refinement passes never
+          // suppresses the new pass's exploration.
+          e.gen = gen;
+        }
+        e.depth = depth;
+        return false;
+      }
+      if (victim == nullptr || victim_rank(e) > victim_rank(*victim)) {
+        victim = &e;
+      }
+      if (++seen == kBucketEntries) break;
     }
   }
-  *victim = Entry{hash, depth, gen};
+
   ++counters_.inserts;
-  ++counters_.evictions;
+  if (free == nullptr) {
+    *victim = Entry{mix, depth, gen, victim->slot};
+    ++counters_.evictions;
+    return false;
+  }
+  *free = Entry{mix, depth, gen, static_cast<std::uint8_t>(seen)};
+  ++counters_.entries;
+  if (buckets_ < ceiling_ &&
+      counters_.entries * 2 >
+          static_cast<std::uint64_t>(buckets_) * kBucketEntries) {
+    grow();
+  }
   return false;
 }
 
 void TranspositionTable::grow() {
-  const std::size_t old = buckets_;
-  Bucket* const from = table_.get();
-  Bucket* to = from;
-  if (old * 2 > allocated_) {
-    // Heap tables double into a fresh heap array; the first size past
-    // kHeapLimitBytes takes the whole budget, inside which every later
-    // doubling happens in place.
-    const std::size_t want =
-        old * 2 * sizeof(Bucket) <= kHeapLimitBytes ? old * 2 : ceiling_;
-    to = static_cast<Bucket*>(std::calloc(want, sizeof(Bucket)));
-    if (to == nullptr) {
-      ceiling_ = old;  // refused: keep this size and evict from now on
-      return;
-    }
-    allocated_ = want;
+  const std::size_t size = buckets_ * 2;
+  Array to = allocate(size);
+  if (!to) {
+    // Refused: keep this size and evict per bucket from now on.
+    ceiling_ = buckets_;
+    ceiling_mask_ = 0;
+    return;
   }
-  // Stable split of bucket b into b and b + old by the new index bit: both
-  // keep their entries' slot order, which is what a table built at the
-  // doubled size would hold. Bucket b + old is still zero (a fresh calloc,
-  // or budget the table has not reached yet), and only slots that held an
-  // entry are written, so empty buckets stay untouched.
-  for (std::size_t b = 0; b < old; ++b) {
-    const Bucket src = from[b];
-    Entry* lo = to[b].entries;
-    Entry* hi = to[b + old].entries;
-    int nlo = 0;
-    int nhi = 0;
-    for (const Entry& e : src.entries) {
-      if (e.depth == 0) continue;
-      if ((splitmix64(e.hash) & old) != 0) {
-        hi[nhi++] = e;
-      } else {
-        lo[nlo++] = e;
+  // Reinsert every entry at the first free slot from its new home, which
+  // keeps the walk invariant (a lookup meets its entries before any free
+  // slot). At the ceiling each ceiling bucket is its own home and holds at
+  // most kBucketEntries entries, so every entry goes to its own slot and
+  // the array is the one a table built there would hold.
+  const std::size_t mask = size - 1;
+  for (std::size_t b = 0; b < buckets_; ++b) {
+    for (const Entry& e : table_[b].entries) {
+      if (e.depth == 0) break;
+      if (size == ceiling_) {
+        to[e.mix & mask].entries[e.slot] = e;
+        continue;
+      }
+      for (std::size_t d = e.mix & mask;; d = (d + 1) & mask) {
+        Entry* slot = std::find_if(
+            std::begin(to[d].entries), std::end(to[d].entries),
+            [](const Entry& x) { return x.depth == 0; });
+        if (slot != std::end(to[d].entries)) {
+          *slot = e;
+          break;
+        }
       }
     }
-    for (int i = nlo; i < kBucketEntries; ++i) {
-      if (src.entries[i].depth != 0) lo[i] = Entry{};
-    }
   }
-  if (to != from) table_.reset(to);
-  buckets_ = old * 2;
+  table_ = std::move(to);
+  buckets_ = size;
 }
 
 }  // namespace rmrls

@@ -1,31 +1,37 @@
 /// \file transposition.hpp
-/// \brief Bounded-memory transposition table that grows on demand up to its
-///        budget and then evicts by generation age (docs/search_tables.md).
+/// \brief Bounded-memory transposition table that grows with its occupancy
+///        up to its budget and then evicts by generation age
+///        (docs/search_tables.md).
 ///
 /// Replaces the grow-only seen-map with the bucketized layout mature
 /// game-tree searchers use: the table is a power-of-two array of 64-byte
-/// buckets, four 16-byte entries `{hash, depth, generation}` each, bounded by
-/// a megabyte budget (`SynthesisOptions::tt_mb`, CLI `--tt-mb`). It starts
-/// at kStartBytes and doubles whenever an insert meets a full bucket; only
-/// once it has reached the budget does a full bucket evict instead of
-/// growing. The victim is the entry from the oldest generation, the
-/// deepest among equals: RMRLS depth semantics invert chess's (an entry
-/// at depth d prunes every revisit at depth' >= d), so within one pass the
+/// buckets, four 16-byte entries `{mix, depth, generation, slot}` each,
+/// bounded by a megabyte budget (`SynthesisOptions::tt_mb`, CLI
+/// `--tt-mb`). The budget fixes the *ceiling* array: the largest
+/// power-of-two bucket count that fits. A full ceiling bucket evicts the
+/// entry from the oldest generation, the deepest among equals, the lowest
+/// slot among those: RMRLS depth semantics invert chess's (an entry at
+/// depth d prunes every revisit at depth' >= d), so within one pass the
 /// shallowest entries are the most valuable, and stale passes decay out of
 /// the table instead of pinning it.
 ///
-/// Growth never changes an answer. A doubling splits every bucket stably
-/// by the next index bit (entries keep their slot order), so each bucket
-/// then holds exactly what it would hold in a table built at the larger
-/// size; and since nothing is evicted below the budget, every
-/// check_and_insert returns what it would return on a table built at the
-/// budget size from the start. Tables up to kHeapLimitBytes live in heap
-/// memory, which malloc recycles across calls without page faults; the
-/// first growth past that limit calloc()s the whole budget once (untouched
-/// pages stay unmapped) and the table doubles in place inside it from then
-/// on, so a cold search pays only for the entries it actually makes. If
-/// the budget allocation is refused, growth stops: the table keeps its
-/// size and evicts from then on.
+/// The table itself starts at kStartBytes and doubles, by reinsertion,
+/// once its entries exceed half its slots, so it holds what the search
+/// makes, not what the budget allows. It still answers every
+/// check_and_insert exactly as the ceiling array would. Each entry keeps
+/// the remixed key `splitmix64(hash)`, whose low bits name its ceiling
+/// bucket, and its slot in that ceiling bucket. Below the ceiling several
+/// ceiling buckets share one bucket: a full bucket spills into the next,
+/// and since entries are never deleted, a lookup walks from its home
+/// bucket until it meets a free slot or the fourth entry of its ceiling
+/// bucket. The ceiling bucket's entries, slots and eviction victims are
+/// then the ceiling array's, whatever size the table has, and at the
+/// ceiling the layout is that array. Tables up to kHeapLimitBytes live in
+/// heap memory, which malloc recycles across calls without page faults;
+/// larger ones are private anonymous mappings, one per size, returned to
+/// the system when the next doubling replaces them. If a doubling is
+/// refused, growth stops: the table keeps its size and evicts per bucket
+/// from then on.
 ///
 /// Generations make one table safely shareable across the search passes of
 /// a whole synthesize() call (iterative deepening ladder + refinement
@@ -46,7 +52,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 
 namespace rmrls {
@@ -63,15 +68,14 @@ class TranspositionTable {
   static constexpr int kBucketEntries = 4;
   /// Size a budget-built table starts at.
   static constexpr std::size_t kStartBytes = std::size_t{4} << 10;
-  /// Largest size kept in heap memory; growing past it allocates the
-  /// whole budget.
+  /// Largest size kept in heap memory; larger sizes are mapped.
   static constexpr std::size_t kHeapLimitBytes = std::size_t{256} << 10;
 
   /// Budget-based sizing: the ceiling is the largest power-of-two bucket
   /// count whose footprint fits in `mb` megabytes (minimum one bucket);
   /// the table starts at kStartBytes (or the ceiling, if smaller) and
-  /// grows on demand. Throws std::bad_alloc if the starting allocation is
-  /// refused.
+  /// grows with its occupancy. Throws std::bad_alloc if the starting
+  /// allocation is refused.
   explicit TranspositionTable(int mb);
   explicit TranspositionTable(const Config& config);
 
@@ -105,8 +109,8 @@ class TranspositionTable {
   };
   [[nodiscard]] Snapshot snapshot() const { return counters_; }
 
-  /// Hard capacity in entries, the budget's (lower only if the budget
-  /// allocation was refused); Snapshot::entries can never exceed it.
+  /// Hard capacity in entries, the budget's (lower only if a doubling was
+  /// refused); Snapshot::entries can never exceed it.
   [[nodiscard]] std::uint64_t capacity() const {
     return static_cast<std::uint64_t>(ceiling_) * kBucketEntries;
   }
@@ -115,29 +119,39 @@ class TranspositionTable {
 
  private:
   struct Entry {
-    std::uint64_t hash = 0;
+    std::uint64_t mix = 0;   ///< splitmix64 of the state hash
     std::int32_t depth = 0;  ///< 0 = empty slot (tabled depths are >= 1)
     std::uint8_t gen = 0;
+    std::uint8_t slot = 0;   ///< slot in its ceiling bucket
   };
+  static_assert(sizeof(Entry) == 16, "the slot rides in the padding");
   /// Naturally 64 bytes (4 x 16-byte entries) — exactly one cache line —
-  /// without an alignas that calloc could not honour.
+  /// without an alignas that malloc could not honour.
   struct Bucket {
     Entry entries[kBucketEntries];
   };
   static_assert(sizeof(Bucket) == 64, "one cache line per bucket");
 
-  void init(std::size_t buckets);
-  /// Doubles the table. If the memory is refused, lowers the ceiling to
-  /// the current size instead.
+  /// Frees an array by the allocator that made it (see allocate()).
+  struct Release {
+    std::size_t buckets;
+    void operator()(Bucket* p) const;
+  };
+  using Array = std::unique_ptr<Bucket[], Release>;
+  /// A zeroed array of `buckets` buckets, null if the memory is refused.
+  static Array allocate(std::size_t buckets);
+
+  /// Doubles the table by reinserting every entry. If the memory is
+  /// refused, lowers the ceiling to the current size instead.
   void grow();
 
-  struct FreeDeleter {
-    void operator()(Bucket* p) const { std::free(p); }
-  };
-  std::unique_ptr<Bucket[], FreeDeleter> table_;
-  std::size_t buckets_ = 0;    ///< current size, a power of two
-  std::size_t allocated_ = 0;  ///< buckets table_ has room for
-  std::size_t ceiling_ = 0;    ///< the budget's buckets; growth stops here
+  Array table_;
+  std::size_t buckets_ = 0;  ///< current size, a power of two
+  std::size_t ceiling_ = 0;  ///< the budget's buckets; growth stops here
+  /// Bits of an entry's mix that name its ceiling bucket: ceiling_ - 1,
+  /// or 0 once a refused doubling has made every bucket its own ceiling
+  /// bucket.
+  std::uint64_t ceiling_mask_ = 0;
   Snapshot counters_;
   std::uint8_t generation_ = 0;
 };

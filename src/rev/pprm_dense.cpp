@@ -13,12 +13,52 @@ namespace {
 }
 
 /// Thread-local toggle-image scratch: one spectrum's worth of words,
-/// reused across calls so the search hot path performs no allocation
+/// reused across calls so the multi-word path performs no allocation
 /// after warmup (same pattern as CubeList::substitute_into's buffer).
 [[nodiscard]] std::uint64_t* scratch_words(std::size_t words) {
   static thread_local std::vector<std::uint64_t> scratch;
   if (scratch.size() < words) scratch.resize(words);
   return scratch.data();
+}
+
+// The masked-shift steps of the t < 6 regime, on one 64-coefficient word.
+// Gather: moves every coefficient of index x | v_t onto x (v_t clear) and
+// clears the rest; the carry out of `x + 2^t` lands exactly on the
+// positions the mask discards, so no cross-contamination.
+[[nodiscard]] std::uint64_t gather_word(std::uint64_t s, int t) {
+  return (s & kDenseVarMask[t]) >> (1 << t);
+}
+
+// Fold along variable j: w[x] for x with j set becomes w[x] XOR
+// w[x ^ 2^j], and positions with j clear go to zero.
+[[nodiscard]] std::uint64_t fold_word(std::uint64_t w, int j) {
+  return (w ^ (w << (1 << j))) & kDenseVarMask[j];
+}
+
+// The whole toggle image of a one-word spectrum `s`: gather, then fold
+// along every variable of f (all below 6 when the spectrum is one word).
+[[nodiscard]] std::uint64_t toggle_image_word(std::uint64_t s, int t,
+                                              Cube f) {
+  std::uint64_t w = gather_word(s, t);
+  if (w == 0) return 0;  // no coefficient contains v_t
+  for (Cube rest = f; rest != 0; rest &= rest - 1) {
+    w = fold_word(w, std::countr_zero(rest));
+  }
+  return w;
+}
+
+// XORs `toggled` into spectrum word `i` (`word`), folding the cube_hash
+// of every toggled coefficient into the raw hash `h`. Returns the word's
+// term-count change.
+int toggle_word(std::uint64_t& word, std::size_t i, std::uint64_t toggled,
+                std::uint64_t& h) {
+  const std::uint64_t before = word;
+  word = before ^ toggled;
+  const std::uint64_t base = static_cast<std::uint64_t>(i) << 6;
+  for (; toggled != 0; toggled &= toggled - 1) {
+    h ^= cube_hash(base + static_cast<unsigned>(std::countr_zero(toggled)));
+  }
+  return std::popcount(word) - std::popcount(before);
 }
 
 }  // namespace
@@ -96,9 +136,8 @@ bool DensePprm::build_toggle_image(const std::uint64_t* s, int t, Cube f,
       }
     }
   } else {
-    const int sh = 1 << t;
     for (std::size_t i = 0; i < words_; ++i) {
-      any |= (w[i] = (s[i] & kDenseVarMask[t]) >> sh);
+      any |= (w[i] = gather_word(s[i], t));
     }
   }
   if (any == 0) return false;  // no coefficient contains v_t
@@ -121,10 +160,7 @@ bool DensePprm::build_toggle_image(const std::uint64_t* s, int t, Cube f,
         }
       }
     } else {
-      const int sh = 1 << j;
-      for (std::size_t i = 0; i < words_; ++i) {
-        w[i] = (w[i] ^ (w[i] << sh)) & kDenseVarMask[j];
-      }
+      for (std::size_t i = 0; i < words_; ++i) w[i] = fold_word(w[i], j);
     }
   }
   return true;
@@ -132,22 +168,33 @@ bool DensePprm::build_toggle_image(const std::uint64_t* s, int t, Cube f,
 
 int DensePprm::apply_toggle_image(int o, const std::uint64_t* image) {
   std::uint64_t* s = bits_.data() + words_ * static_cast<std::size_t>(o);
-  std::uint64_t h = out_hash_[static_cast<std::size_t>(o)];
+  std::uint64_t& h = out_hash_[static_cast<std::size_t>(o)];
   int delta = 0;
   for (std::size_t i = 0; i < words_; ++i) {
-    std::uint64_t toggled = image[i];
-    if (toggled == 0) continue;
-    const std::uint64_t before = s[i];
-    s[i] = before ^ toggled;
-    delta += std::popcount(s[i]) - std::popcount(before);
-    const std::uint64_t base = static_cast<std::uint64_t>(i) << 6;
-    do {
-      h ^= cube_hash(base + static_cast<unsigned>(std::countr_zero(toggled)));
-      toggled &= toggled - 1;
-    } while (toggled != 0);
+    if (image[i] != 0) delta += toggle_word(s[i], i, image[i], h);
   }
-  out_hash_[static_cast<std::size_t>(o)] = h;
   out_count_[static_cast<std::size_t>(o)] += delta;
+  return delta;
+}
+
+int DensePprm::apply_substitution(int t, Cube f) {
+  int delta = 0;
+  if (words_ == 1) {
+    // One word per output: the whole image lives in a register.
+    for (std::size_t o = 0; o < bits_.size(); ++o) {
+      const std::uint64_t image = toggle_image_word(bits_[o], t, f);
+      if (image == 0) continue;
+      const int d = toggle_word(bits_[o], 0, image, out_hash_[o]);
+      out_count_[o] += d;
+      delta += d;
+    }
+    return delta;
+  }
+  std::uint64_t* image = scratch_words(words_);
+  for (int o = 0; o < num_vars_; ++o) {
+    if (!build_toggle_image(output_bits(o), t, f, image)) continue;
+    delta += apply_toggle_image(o, image);
+  }
   return delta;
 }
 
@@ -155,13 +202,7 @@ int DensePprm::substitute(int t, Cube f) {
   if (f & cube_of_var(t)) {
     throw std::invalid_argument("factor contains target variable");
   }
-  std::uint64_t* image = scratch_words(words_);
-  int delta = 0;
-  for (int o = 0; o < num_vars_; ++o) {
-    if (!build_toggle_image(output_bits(o), t, f, image)) continue;
-    delta += apply_toggle_image(o, image);
-  }
-  return delta;
+  return apply_substitution(t, f);
 }
 
 int DensePprm::substitute_into(int t, Cube f, DensePprm& dst) const {
@@ -174,13 +215,7 @@ int DensePprm::substitute_into(int t, Cube f, DensePprm& dst) const {
   dst.bits_ = bits_;
   dst.out_hash_ = out_hash_;
   dst.out_count_ = out_count_;
-  std::uint64_t* image = scratch_words(words_);
-  int delta = 0;
-  for (int o = 0; o < num_vars_; ++o) {
-    if (!build_toggle_image(output_bits(o), t, f, image)) continue;
-    delta += dst.apply_toggle_image(o, image);
-  }
-  return delta;
+  return dst.apply_substitution(t, f);
 }
 
 int DensePprm::substitute_delta(int t, Cube f) const {
@@ -190,8 +225,15 @@ int DensePprm::substitute_delta(int t, Cube f) const {
   // Same passes as substitute_into, reduced to popcounts: the candidate
   // pricing loop (the search's hottest call) never touches a hash or a
   // destination buffer.
-  std::uint64_t* image = scratch_words(words_);
   int delta = 0;
+  if (words_ == 1) {
+    for (const std::uint64_t s : bits_) {
+      delta += std::popcount(s ^ toggle_image_word(s, t, f)) -
+               std::popcount(s);
+    }
+    return delta;
+  }
+  std::uint64_t* image = scratch_words(words_);
   for (int o = 0; o < num_vars_; ++o) {
     const std::uint64_t* s = output_bits(o);
     if (!build_toggle_image(s, t, f, image)) continue;

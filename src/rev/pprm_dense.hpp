@@ -10,7 +10,9 @@
 /// (`substitute_delta`) to popcounts — the bit-slicing family behind the
 /// fast Moebius transform in pprm_transform.cpp. See docs/dense_pprm.md
 /// for the layout and the kernel's two regimes (whole-word moves when a
-/// variable index is >= 6, masked intra-word shuffles below).
+/// variable index is >= 6, masked intra-word shuffles below); at n <= 6,
+/// where a spectrum is one word, each output's substitution runs on one
+/// register with no per-word loop and no scratch buffer.
 ///
 /// DensePprm mirrors the subset of Pprm's interface the search engine
 /// needs (core/search.hpp is templated over the representation), and its
@@ -141,6 +143,11 @@ class DensePprm {
   /// XORs `image` into output `o`, maintaining the cached count and raw
   /// hash. Returns the output's term-count change.
   int apply_toggle_image(int o, const std::uint64_t* image);
+
+  /// Applies `v_t <- v_t XOR f` in place (the body of substitute and
+  /// substitute_into; f already checked). One-word systems (n <= 6) keep
+  /// each output's image in a register; wider ones build it in scratch.
+  int apply_substitution(int t, Cube f);
 
   int num_vars_ = 0;
   std::size_t words_ = 0;               // words per output

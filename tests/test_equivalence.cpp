@@ -6,6 +6,7 @@
 
 #include <random>
 
+#include "core/synthesizer.hpp"
 #include "rev/random.hpp"
 #include "rev/structural.hpp"
 #include "templates/fredkinize.hpp"
@@ -115,6 +116,31 @@ TEST(Equivalence, SimulationMatchesReverseSubstitution) {
                     appended.to_pprm() == toggled);
         }
       }
+    }
+  }
+}
+
+// implements(Circuit, Pprm) is exact up to 16 lines: it must agree with
+// equivalent() on correct cascades and on cascades one gate off (one
+// appended, one replaced), and a width mismatch is false, not a throw.
+TEST(Equivalence, ImplementsAgreesWithEquivalentUpToSixteenLines) {
+  std::mt19937_64 rng(76);
+  for (int n = 1; n <= 16; ++n) {
+    for (const GateLibrary lib : {GateLibrary::kGT, GateLibrary::kNCT}) {
+      const Circuit base =
+          random_circuit(n, 1 + static_cast<int>(rng() % 24), lib, rng);
+      const Pprm spec = base.to_pprm();
+      const Gate extra = random_circuit(n, 1, lib, rng).gates()[0];
+      Circuit appended = base;
+      appended.append(extra);
+      std::vector<Gate> replaced_gates = base.gates();
+      replaced_gates[rng() % replaced_gates.size()] = extra;
+      const Circuit replaced(n, std::move(replaced_gates));
+      EXPECT_TRUE(implements(base, spec)) << "n=" << n;
+      for (const Circuit& c : {appended, replaced}) {
+        EXPECT_EQ(implements(c, spec), equivalent(c, spec)) << "n=" << n;
+      }
+      EXPECT_FALSE(implements(Circuit(n + 1), spec)) << "n=" << n;
     }
   }
 }

@@ -99,6 +99,46 @@ TEST(DensePprm, WordMoveRegimeMatchesSparse) {
   }
 }
 
+// At n <= 6 a spectrum is one word and the kernel runs on registers: for
+// every target and every factor over the other variables (kConstOne, and
+// at n = 6 the cubes containing v5 included), its delta, spectrum and hash
+// must match the sparse substitution, through substitute_delta,
+// substitute_into (one destination reused across widths) and substitute.
+TEST(DensePprm, OneWordPathMatchesSparseForEveryTargetAndFactor) {
+  std::mt19937_64 rng(16);
+  DensePprm dst;
+  for (int n = 1; n <= 6; ++n) {
+    ASSERT_EQ(DensePprm(n).words_per_output(), 1u);
+    for (int trial = 0; trial < 3; ++trial) {
+      const Pprm start =
+          pprm_of_truth_table(random_reversible_function(n, rng));
+      const DensePprm dense(start);
+      const Cube all = (Cube{1} << n) - 1;
+      for (int t = 0; t < n; ++t) {
+        const Cube others = all & ~cube_of_var(t);
+        // Every subset of the other variables, kConstOne (0) last.
+        for (Cube f = others;; f = (f - 1) & others) {
+          Pprm sparse = start;
+          const int sd = sparse.substitute_delta(t, f);
+          ASSERT_EQ(sparse.substitute(t, f), sd);
+          EXPECT_EQ(dense.substitute_delta(t, f), sd)
+              << "n=" << n << " t=" << t << " f=" << f;
+          EXPECT_EQ(dense.substitute_into(t, f, dst), sd);
+          EXPECT_EQ(dst.to_pprm(), sparse)
+              << "n=" << n << " t=" << t << " f=" << f;
+          EXPECT_EQ(dst.hash(), sparse.hash());
+          EXPECT_EQ(dst.term_count(), sparse.term_count());
+          DensePprm in_place = dense;
+          EXPECT_EQ(in_place.substitute(t, f), sd);
+          EXPECT_EQ(in_place, dst);
+          EXPECT_EQ(in_place.hash(), sparse.hash());
+          if (f == kConstOne) break;
+        }
+      }
+    }
+  }
+}
+
 TEST(DensePprm, SubstituteIntoReusesPooledDestination) {
   std::mt19937_64 rng(13);
   const Pprm sparse =

@@ -8,9 +8,14 @@
 // it.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <fstream>
 #include <random>
+#include <vector>
 
 #include "core/synthesizer.hpp"
 #include "core/transposition.hpp"
@@ -87,6 +92,21 @@ TEST(TranspositionTable, SameGenerationEvictsDeepestEntry) {
   EXPECT_TRUE(tt.check_and_insert(h(3), 2));
   EXPECT_TRUE(tt.check_and_insert(h(5), 4));
   EXPECT_FALSE(tt.check_and_insert(h(2), 9));  // reinserted (evicting again)
+}
+
+// Same generation, same depth: the lowest slot is the victim. A grown
+// table reads the slot an entry holds in its ceiling bucket, so this
+// tie-break is what keeps its evictions the ceiling array's.
+TEST(TranspositionTable, EqualEntriesEvictTheLowestSlot) {
+  TranspositionTable tt(kOneBucket);
+  for (std::uint64_t i = 1; i <= 4; ++i) {
+    ASSERT_FALSE(tt.check_and_insert(h(i), 3));
+  }
+  ASSERT_FALSE(tt.check_and_insert(h(5), 3));  // full: evicts slot 0, h(1)
+  EXPECT_TRUE(tt.check_and_insert(h(4), 3));
+  EXPECT_TRUE(tt.check_and_insert(h(5), 3));
+  EXPECT_FALSE(tt.check_and_insert(h(1), 3));  // gone; now evicts h(5)
+  EXPECT_FALSE(tt.check_and_insert(h(5), 3));
 }
 
 TEST(TranspositionTable, EvictsOldestGenerationFirst) {
@@ -238,6 +258,135 @@ TEST(TranspositionTable, SmallRunStaysSmallUnderLargeBudget) {
   EXPECT_EQ(tt.capacity(), kBudgetEntries);
   EXPECT_EQ(tt.snapshot().entries, 1000u);
   EXPECT_EQ(tt.snapshot().evictions, 0u);
+}
+
+// splitmix64 is a bijection; its inverse aims keys at chosen ceiling
+// buckets (the low bits of splitmix64(hash) pick the bucket).
+constexpr std::uint64_t inverse_odd(std::uint64_t a) {
+  std::uint64_t x = a;  // Newton: each step doubles the correct low bits
+  for (int i = 0; i < 6; ++i) x *= 2 - a * x;
+  return x;
+}
+
+std::uint64_t unsplitmix64(std::uint64_t x) {
+  x ^= (x >> 31) ^ (x >> 62);
+  x *= inverse_odd(0x94d049bb133111ebull);
+  x ^= (x >> 27) ^ (x >> 54);
+  x *= inverse_odd(0xbf58476d1ce4e5b9ull);
+  x ^= (x >> 30) ^ (x >> 60);
+  return x - 0x9e3779b97f4a7c15ull;
+}
+
+// A table below its ceiling must evict exactly where the ceiling array
+// would: keys aimed at 16 ceiling buckets of a 64 MiB budget overflow
+// them at once, while random background keys grow the table. Eight hot
+// buckets share one home bucket at every size up to 8 MiB, four follow
+// it, and four end the array, whose spills wrap around to bucket 0. Every
+// answer and all four counters must match a table built at the ceiling,
+// which the grown one never reaches.
+TEST(TranspositionTable, EvictsBelowCeilingLikeTableBuiltThere) {
+  ASSERT_EQ(splitmix64(unsplitmix64(0x0123456789abcdefull)),
+            0x0123456789abcdefull);
+  TranspositionTable grown(64);
+  const auto ceiling = static_cast<std::size_t>(
+      grown.capacity() / TranspositionTable::kBucketEntries);
+  TranspositionTable built(TranspositionTable::Config{ceiling});
+
+  std::vector<std::uint64_t> hot_buckets;
+  for (std::uint64_t k = 0; k < 8; ++k) hot_buckets.push_back(5 + (k << 17));
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    hot_buckets.push_back(6 + k);
+    hot_buckets.push_back(ceiling - 1 - k);
+  }
+  std::mt19937_64 rng(2026);
+  constexpr int kCalls = 300'000;
+  for (int call = 0; call < kCalls; ++call) {
+    if (rng() % 20'000 == 0) {
+      grown.new_generation();
+      built.new_generation();
+    }
+    std::uint64_t hash = 0;
+    if (rng() % 3 == 0) {
+      // One of 40 keys per hot bucket: each overflows its four slots.
+      const std::uint64_t bucket = hot_buckets[rng() % hot_buckets.size()];
+      hash = unsplitmix64(((1 + rng() % 40) << 32) | bucket);
+    } else {
+      hash = (rng() % 120'000) * 0x9E3779B97F4A7C15ULL + 7;
+    }
+    const auto depth = static_cast<std::int32_t>(1 + rng() % 12);
+    ASSERT_EQ(grown.check_and_insert(hash, depth),
+              built.check_and_insert(hash, depth))
+        << "call " << call;
+  }
+  const TranspositionTable::Snapshot g = grown.snapshot();
+  const TranspositionTable::Snapshot b = built.snapshot();
+  EXPECT_GT(b.evictions, 1000u);
+  EXPECT_EQ(g.hits, b.hits);
+  EXPECT_EQ(g.inserts, b.inserts);
+  EXPECT_EQ(g.evictions, b.evictions);
+  EXPECT_EQ(g.entries, b.entries);
+  EXPECT_LT(grown.bytes(), built.bytes());
+  EXPECT_EQ(grown.capacity(), built.capacity());
+}
+
+// Memory follows occupancy, not the budget: 100 K entries under the
+// default 64 MiB ceiling stay within 8 MiB.
+TEST(TranspositionTable, MemoryFollowsOccupancy) {
+  TranspositionTable tt(64);
+  constexpr std::uint64_t kInserts = 100'000;
+  for (std::uint64_t i = 0; i < kInserts; ++i) {
+    EXPECT_FALSE(tt.check_and_insert(splitmix64(i), 3));
+  }
+  const TranspositionTable::Snapshot s = tt.snapshot();
+  EXPECT_EQ(s.inserts, kInserts);
+  EXPECT_EQ(s.entries, s.inserts - s.evictions);
+  EXPECT_LE(tt.bytes(), std::size_t{8} << 20);
+  EXPECT_EQ(tt.capacity(),
+            (std::uint64_t{64} << 20) / 64 * TranspositionTable::kBucketEntries);
+}
+
+// A refused doubling neither aborts nor loops: the table keeps its size,
+// lowers capacity() to it and evicts per bucket from then on. The refusal
+// is real: a child process caps its address space at what it has mapped,
+// so the first doubling past kHeapLimitBytes, a new mapping, fails.
+TEST(TranspositionTable, RefusedDoublingKeepsSizeAndEvicts) {
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    TranspositionTable tt(64);
+    std::uint64_t key = 0;
+    while (tt.bytes() < TranspositionTable::kHeapLimitBytes) {
+      tt.check_and_insert(splitmix64(key++), 3);
+    }
+    std::size_t mapped_pages = 0;
+    std::ifstream("/proc/self/statm") >> mapped_pages;
+    rlimit limit{};
+    if (mapped_pages == 0 || ::getrlimit(RLIMIT_AS, &limit) != 0) _exit(2);
+    const rlim_t cap =
+        static_cast<rlim_t>(mapped_pages * ::sysconf(_SC_PAGESIZE)) +
+        (rlim_t{64} << 10);
+    if (limit.rlim_max != RLIM_INFINITY && limit.rlim_max < cap) _exit(2);
+    limit.rlim_cur = cap;
+    if (::setrlimit(RLIMIT_AS, &limit) != 0) _exit(2);
+
+    const std::size_t bytes = tt.bytes();
+    for (int i = 0; i < 200'000; ++i) {
+      tt.check_and_insert(splitmix64(key++), 1 + i % 5);
+    }
+    const TranspositionTable::Snapshot s = tt.snapshot();
+    const std::uint64_t capacity =
+        bytes / 64 * TranspositionTable::kBucketEntries;
+    const bool ok = tt.bytes() == bytes && tt.capacity() == capacity &&
+                    s.entries <= capacity && s.evictions > 0 &&
+                    s.entries == s.inserts - s.evictions &&
+                    tt.check_and_insert(splitmix64(key - 1), 5);
+    _exit(ok ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  if (WEXITSTATUS(status) == 2) GTEST_SKIP() << "cannot cap RLIMIT_AS";
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 // The iterative-deepening driver on top of the table must stay

@@ -159,9 +159,9 @@ int main(int argc, char** argv) {
               1)
       .number("--tt-mb", options.tt_mb, "N",
               "transposition-table memory ceiling in MiB (default 64); the"
-              " table starts at 4 KiB, doubles on demand up to N and only"
-              " then evicts, oldest search pass first; see"
-              " docs/search_tables.md",
+              " table starts at 4 KiB and doubles with its entries up to N,"
+              " and evicts, oldest search pass first, exactly where an"
+              " N MiB table would; see docs/search_tables.md",
               1)
       .flag("--no-history", options.use_history,
             "disable the history heuristic (learned (target, factor-class)"
