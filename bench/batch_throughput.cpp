@@ -99,7 +99,7 @@ std::vector<BatchJob> generate_workload(int vars, std::uint64_t total,
       t = conjugate(t, sigma);
       if (rng() & 1u) t = t.inverse();
     }
-    jobs.push_back(BatchJob{"job" + std::to_string(i), std::move(t)});
+    jobs.push_back(BatchJob{"job" + std::to_string(i), std::move(t), ""});
   }
   std::shuffle(jobs.begin(), jobs.end(), rng);
   return jobs;
@@ -124,7 +124,7 @@ std::vector<BatchJob> load_workload(const std::string& path) {
   }
   std::vector<BatchJob> jobs;
   for (NamedSpec& s : parsed.value()) {
-    jobs.push_back(BatchJob{std::move(s.name), std::move(s.table)});
+    jobs.push_back(BatchJob{std::move(s.name), std::move(s.table), ""});
   }
   return jobs;
 }

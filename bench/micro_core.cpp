@@ -121,7 +121,23 @@ BENCHMARK(BM_SubstituteIntoPooled)->Arg(3)->Arg(5)->Arg(8);
 // Word-parallel dense counterparts (rev/pprm_dense.hpp, same spec and
 // factor as the sparse pair above, so each sparse/dense pair reads as a
 // direct comparison). These back the dense-kernel claims in
-// docs/dense_pprm.md and EXPERIMENTS.md.
+// docs/dense_pprm.md and EXPERIMENTS.md. The search runs one-word
+// WordPprm states at n <= 6 and multi-word DensePprm bitsets above, so
+// each type is timed only at the widths it serves.
+void BM_WordSubstituteInto(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  std::mt19937_64 rng(3);
+  const WordPprm base(
+      pprm_of_truth_table(random_reversible_function(n, rng)));
+  const Cube factor = cube_of_var(1) | cube_of_var(2);
+  WordPprm dst;
+  for (auto _ : state) {
+    base.substitute_into(0, factor, dst);
+    benchmark::DoNotOptimize(dst);
+  }
+}
+BENCHMARK(BM_WordSubstituteInto)->Arg(3)->Arg(5);
+
 void BM_DenseSubstituteIntoPooled(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::mt19937_64 rng(3);
@@ -136,7 +152,7 @@ void BM_DenseSubstituteIntoPooled(benchmark::State& state) {
     pool.release(std::move(dst));
   }
 }
-BENCHMARK(BM_DenseSubstituteIntoPooled)->Arg(3)->Arg(5)->Arg(8);
+BENCHMARK(BM_DenseSubstituteIntoPooled)->Arg(8);
 
 void BM_SubstituteDelta(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -149,6 +165,18 @@ void BM_SubstituteDelta(benchmark::State& state) {
 }
 BENCHMARK(BM_SubstituteDelta)->Arg(3)->Arg(5)->Arg(8);
 
+void BM_WordSubstituteDelta(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  std::mt19937_64 rng(3);
+  const WordPprm base(
+      pprm_of_truth_table(random_reversible_function(n, rng)));
+  const Cube factor = cube_of_var(1) | cube_of_var(2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(base.substitute_delta(0, factor));
+  }
+}
+BENCHMARK(BM_WordSubstituteDelta)->Arg(3)->Arg(5);
+
 void BM_DenseSubstituteDelta(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::mt19937_64 rng(3);
@@ -159,7 +187,7 @@ void BM_DenseSubstituteDelta(benchmark::State& state) {
     benchmark::DoNotOptimize(base.substitute_delta(0, factor));
   }
 }
-BENCHMARK(BM_DenseSubstituteDelta)->Arg(3)->Arg(5)->Arg(8);
+BENCHMARK(BM_DenseSubstituteDelta)->Arg(8);
 
 void BM_PprmHash(benchmark::State& state) {
   std::mt19937_64 rng(4);
@@ -191,10 +219,10 @@ void BM_CircuitSimulate(benchmark::State& state) {
 BENCHMARK(BM_CircuitSimulate);
 
 // End-to-end synthesis of the paper's Fig. 1 example. The default options
-// run the adaptive dense kernel (dense_threshold = 14 covers n = 3); the
-// *Sparse variant pins the pre-existing cube-vector engine, so the pair
-// measures the dense kernel's end-to-end speedup on an identical search
-// tree (both produce the same circuit; see docs/dense_pprm.md).
+// run the adaptive dense kernel (dense_threshold = 14 covers n = 3, on
+// one-word states); the *Sparse variant pins the cube-vector engine, so
+// the pair measures the dense kernel's end-to-end speedup on an identical
+// search tree (both produce the same circuit; see docs/dense_pprm.md).
 void BM_SynthesizeFig1(benchmark::State& state) {
   const Pprm spec =
       pprm_of_truth_table(TruthTable({1, 0, 7, 2, 3, 4, 5, 6}));
@@ -473,7 +501,7 @@ std::vector<BatchJob> micro_batch_jobs() {
       t = conjugate(bases[rng() % bases.size()], sigma);
       if (rng() & 1u) t = t.inverse();
     }
-    jobs.push_back(BatchJob{"job" + std::to_string(i), std::move(t)});
+    jobs.push_back(BatchJob{"job" + std::to_string(i), std::move(t), ""});
   }
   return jobs;
 }

@@ -148,7 +148,7 @@ void run_one_job(BatchContext& ctx, std::size_t index) {
     } else {
       ++ctx.stats.cache_misses;
     }
-    accumulate_stats(ctx.search_stats, out.result.stats);
+    merge_job_stats(ctx.search_stats, out.result.stats);
   };
 
   static_cast<CachedSynthesisOutcome&>(out) = synthesize_cached(

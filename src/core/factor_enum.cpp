@@ -32,10 +32,16 @@ void enumerate_candidates_into(const Pprm& p, const SynthesisOptions& options,
   }
 }
 
-void enumerate_candidates_into(const DensePprm& p,
-                               const SynthesisOptions& options,
-                               const Candidate* skip,
-                               std::vector<Candidate>& out) {
+namespace {
+
+// The bitset walk behind both dense overloads. WordPprm's one-word
+// spectra make `words` the constant 1, so its instantiation has no word
+// loop.
+template <class Bitsets>
+void enumerate_bitset_candidates(const Bitsets& p,
+                                 const SynthesisOptions& options,
+                                 const Candidate* skip,
+                                 std::vector<Candidate>& out) {
   out.clear();
   const int n = p.num_vars();
   const std::size_t words = p.words_per_output();
@@ -70,6 +76,22 @@ void enumerate_candidates_into(const DensePprm& p,
       if (skip == nullptr || !(cand == *skip)) out.push_back(cand);
     }
   }
+}
+
+}  // namespace
+
+void enumerate_candidates_into(const DensePprm& p,
+                               const SynthesisOptions& options,
+                               const Candidate* skip,
+                               std::vector<Candidate>& out) {
+  enumerate_bitset_candidates(p, options, skip, out);
+}
+
+void enumerate_candidates_into(const WordPprm& p,
+                               const SynthesisOptions& options,
+                               const Candidate* skip,
+                               std::vector<Candidate>& out) {
+  enumerate_bitset_candidates(p, options, skip, out);
 }
 
 std::vector<Candidate> enumerate_candidates(const Pprm& p,

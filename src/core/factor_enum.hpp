@@ -63,4 +63,10 @@ void enumerate_candidates_into(const DensePprm& p,
                                const Candidate* skip,
                                std::vector<Candidate>& out);
 
+/// One-word counterpart (n <= 6), in the same ascending-bit order.
+void enumerate_candidates_into(const WordPprm& p,
+                               const SynthesisOptions& options,
+                               const Candidate* skip,
+                               std::vector<Candidate>& out);
+
 }  // namespace rmrls

@@ -289,10 +289,11 @@ struct SynthesisStats {
   std::chrono::microseconds elapsed{0};
 };
 
-/// Accumulates `from` into `into`. Used by the multi-pass drivers
-/// (refinement, bidirectional) when merging sub-run counters: counts and
-/// elapsed add.
-inline void accumulate_stats(SynthesisStats& into, const SynthesisStats& from) {
+/// Accumulates the stats of independent jobs into `into` (a batch
+/// summary): counts and elapsed add, and each job's own
+/// representation_switches add. Jobs are not passes of one search, so a
+/// kernel difference between them is no switch.
+inline void merge_job_stats(SynthesisStats& into, const SynthesisStats& from) {
   into.nodes_expanded += from.nodes_expanded;
   into.children_created += from.children_created;
   into.children_pushed += from.children_pushed;
@@ -314,14 +315,21 @@ inline void accumulate_stats(SynthesisStats& into, const SynthesisStats& from) {
     into.id_iterations = from.id_iterations;
   }
   into.history_hits += from.history_hits;
-  // A kernel disagreement between the merged runs is a representation
-  // switch; dense_kernel then means "any pass ran dense".
   into.representation_switches += from.representation_switches;
-  if (into.dense_kernel != from.dense_kernel) ++into.representation_switches;
+  // dense_kernel means "any pass ran dense".
   into.dense_kernel |= from.dense_kernel;
   into.cancelled |= from.cancelled;
   into.watchdog_fired |= from.watchdog_fired;
   into.elapsed += from.elapsed;
+}
+
+/// Accumulates `from` into `into` as passes of one search. Used by the
+/// multi-pass drivers (refinement, bidirectional) when merging sub-run
+/// counters: as merge_job_stats, and a kernel disagreement between the
+/// merged passes counts as a representation switch.
+inline void accumulate_stats(SynthesisStats& into, const SynthesisStats& from) {
+  if (into.dense_kernel != from.dense_kernel) ++into.representation_switches;
+  merge_job_stats(into, from);
 }
 
 }  // namespace rmrls

@@ -62,13 +62,21 @@ ResilientResult resilient_impl(const Pprm& spec, const TruthTable* table,
   // Adopts `r` as the outcome of one engine attempt: counters accumulate
   // across the cascade, the incomplete cascade closest to the identity is
   // kept (fewest remaining terms), and the last engine's termination
-  // stands.
+  // stands. The first engine's stats are taken as they are: merged into a
+  // default record, a dense run would count as a kernel switch.
+  bool absorbed = false;
   const auto absorb = [&](SynthesisResult&& r) {
-    const std::uint64_t nodes_before = out.result.stats.nodes_expanded;
-    if (r.success) {
-      out.result.stats.nodes_at_best = nodes_before + r.stats.nodes_at_best;
+    if (!absorbed) {
+      out.result.stats = r.stats;
+      absorbed = true;
+    } else {
+      const std::uint64_t nodes_before = out.result.stats.nodes_expanded;
+      if (r.success) {
+        out.result.stats.nodes_at_best =
+            nodes_before + r.stats.nodes_at_best;
+      }
+      accumulate_stats(out.result.stats, r.stats);
     }
-    accumulate_stats(out.result.stats, r.stats);
     out.result.termination = r.termination;
     if (r.partial_terms >= 0 &&
         (out.result.partial_terms < 0 ||

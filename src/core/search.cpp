@@ -82,7 +82,7 @@ bool BasicSearch<Rep>::push_uncounted(QueueEntry entry) {
       e.terms = entry.terms;
       emit(e);
     }
-    pool_.release(std::move(entry.state));
+    release_state(std::move(entry.state));
     return false;
   }
   const ScopedPhaseTimer timer(profile_, Phase::kHeapOps);
@@ -185,16 +185,9 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
 
   // Children are priced read-only (substitute_delta); only the ones that
   // survive pruning are materialized, which is the search's hot path.
-  struct ChildEval {
-    Candidate cand;
-    int terms = 0;
-    int elim = 0;
-    double priority = 0.0;
-    bool solved = false;
-  };
   const int child_depth = node.depth + 1;
-  std::vector<ChildEval> children;
-  children.reserve(candidates.size());
+  std::vector<ChildEval>& children = children_buf_;
+  children.clear();
   {
     const ScopedPhaseTimer timer(profile_, Phase::kSubstitute);
     for (const Candidate& cand : candidates) {
@@ -203,7 +196,7 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
       // thousands of candidates at n >= 20; see should_stop().
       if (should_stop()) {
         termination_ = stop_reason_;
-        pool_.release(std::move(entry.state));
+        release_state(std::move(entry.state));
         return true;
       }
       ChildEval ce;
@@ -222,11 +215,11 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
       }
       if (ce.terms == num_vars_) {
         // Only a system with exactly one term per output can be the
-        // identity; confirm by materializing (into a pooled system).
-        Rep materialized = pool_.acquire();
+        // identity; confirm by materializing (see acquire_state()).
+        Rep materialized = acquire_state();
         entry.state.substitute_into(cand.target, cand.factor, materialized);
         ce.solved = materialized.is_identity();
-        pool_.release(std::move(materialized));
+        release_state(std::move(materialized));
       }
       ++stats_.children_created;
       children.push_back(ce);
@@ -242,7 +235,7 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
                         child_depth, node.exempt_count)) {
       if (options_.stop_at_first_solution) {
         termination_ = TerminationReason::kSolved;
-        pool_.release(std::move(entry.state));
+        release_state(std::move(entry.state));
         return true;
       }
     } else {
@@ -261,24 +254,23 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
                        }
                        return a.priority > b.priority;
                      });
-    std::vector<ChildEval> kept;
-    kept.reserve(children.size());
+    std::size_t kept = 0;
     int current_target = -1;
     int taken = 0;
-    for (ChildEval& ce : children) {
+    for (const ChildEval& ce : children) {
       if (ce.cand.target != current_target) {
         current_target = ce.cand.target;
         taken = 0;
       }
       if (ce.solved) continue;  // already handled above
       if (taken < options_.greedy_k) {
-        kept.push_back(std::move(ce));
+        children[kept++] = ce;
         ++taken;
       } else {
         ++stats_.pruned_greedy;
       }
     }
-    children = std::move(kept);
+    children.resize(kept);
   }
 
   const bool narrow_scope =
@@ -287,11 +279,11 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
       options_.exempt_budget >= 0 ? options_.exempt_budget
       : narrow_scope              ? 1
                                   : 2 * num_vars_;
-  for (ChildEval& ce : children) {
+  for (const ChildEval& ce : children) {
     if (ce.solved) continue;
     if (should_stop()) {
       termination_ = stop_reason_;
-      pool_.release(std::move(entry.state));
+      release_state(std::move(entry.state));
       return true;
     }
     // Non-reducing substitutions are tolerated up to the per-path budget
@@ -327,9 +319,10 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
       emit_prune(PruneReason::kMaxGates, child_depth, ce.terms);
       continue;
     }
-    // Materialize only now, into a pooled system: everything pruned above
-    // never paid for a copy, and nothing here pays for an allocation.
-    Rep materialized = pool_.acquire();
+    // Materialize only now, into a pooled system or a by-value word state:
+    // everything pruned above never paid for a copy, and nothing here pays
+    // for an allocation.
+    Rep materialized = acquire_state();
     {
       const ScopedPhaseTimer timer(profile_, Phase::kSubstitute);
       entry.state.substitute_into(ce.cand.target, ce.cand.factor,
@@ -341,7 +334,7 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
       if (tt_->check_and_insert(materialized.hash(), child_depth)) {
         ++stats_.pruned_duplicate;
         emit_prune(PruneReason::kDuplicate, child_depth, ce.terms);
-        pool_.release(std::move(materialized));
+        release_state(std::move(materialized));
         continue;
       }
     }
@@ -358,7 +351,7 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
     if (is_root) root_children_.push_back(child);  // copy kept for restarts
     push_entry(std::move(child));
   }
-  pool_.release(std::move(entry.state));
+  release_state(std::move(entry.state));
   return false;
 }
 
@@ -366,7 +359,7 @@ template <class Rep>
 void BasicSearch<Rep>::restart() {
   ++stats_.restarts;
   pops_since_improvement_ = 0;
-  for (QueueEntry& e : heap_) pool_.release(std::move(e.state));
+  for (QueueEntry& e : heap_) release_state(std::move(e.state));
   heap_.clear();
   ++restart_index_;
   {
@@ -488,13 +481,13 @@ SynthesisResult BasicSearch<Rep>::run() {
     if (best_depth_ >= 0 && depth >= best_depth_ - 1) {
       ++stats_.pruned_stale;
       emit_prune(PruneReason::kStale, depth, entry.terms);
-      pool_.release(std::move(entry.state));
+      release_state(std::move(entry.state));
       continue;
     }
     if (options_.max_gates > 0 && depth >= options_.max_gates) {
       ++stats_.pruned_stale;
       emit_prune(PruneReason::kStale, depth, entry.terms);
-      pool_.release(std::move(entry.state));
+      release_state(std::move(entry.state));
       continue;
     }
     if (expand(std::move(entry))) break;  // stop-at-first fired
@@ -527,6 +520,7 @@ SynthesisResult BasicSearch<Rep>::run() {
 }
 
 template class BasicSearch<Pprm>;
+template class BasicSearch<WordPprm>;
 template class BasicSearch<DensePprm>;
 
 }  // namespace rmrls

@@ -8,17 +8,19 @@
 /// {parent, gate, depth} so solution paths can be reconstructed cheaply.
 ///
 /// The engine is templated over the state representation `Rep` — the
-/// sparse cube-vector Pprm or the dense bitset DensePprm
-/// (rev/pprm_dense.hpp, docs/dense_pprm.md). Both expose the same
-/// substitution/pricing/hash contract, candidates enumerate in the same
-/// order, and state hashes agree, so the two instantiations expand
-/// identical trees and emit bit-identical circuits; the synthesizer picks
-/// per pass via SynthesisOptions::dense_threshold. `Search` is the sparse
-/// instantiation, `DenseSearch` the dense one.
+/// sparse cube-vector Pprm, or one of the dense bitset types of
+/// rev/pprm_dense.hpp (docs/dense_pprm.md): WordPprm at n <= 6, DensePprm
+/// above. All expose the same substitution/pricing/hash contract,
+/// candidates enumerate in the same order, and state hashes agree, so the
+/// instantiations expand identical trees and emit bit-identical circuits;
+/// the synthesizer picks per pass via SynthesisOptions::dense_threshold.
+/// `Search` is the sparse instantiation, `WordSearch` and `DenseSearch`
+/// the dense ones.
 
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/cancel.hpp"
@@ -96,6 +98,15 @@ class BasicSearch {
     }
   };
 
+  /// A child candidate priced by substitute_delta, before pruning.
+  struct ChildEval {
+    Candidate cand;
+    int terms = 0;
+    int elim = 0;
+    double priority = 0.0;
+    bool solved = false;
+  };
+
   /// Enqueues a new child, counting it (children_pushed / queue drops).
   void push_entry(QueueEntry entry);
   /// Enqueues without counting children_pushed — root seeding and restart
@@ -130,12 +141,26 @@ class BasicSearch {
   int num_vars_ = 0;
   int initial_terms_ = 0;
 
-  /// Recycles the state of every pruned child and expanded entry; the hot
-  /// path materializes via substitute_into into pooled systems and stops
-  /// allocating after warmup.
+  /// Heap-owning states (Pprm, DensePprm) recycle their buffers through
+  /// pool_: the hot path materializes via substitute_into into pooled
+  /// systems and stops allocating after warmup. A trivially copyable state
+  /// (WordPprm) lives inside its QueueEntry and skips the pool.
+  static constexpr bool kPooled = !std::is_trivially_copyable_v<Rep>;
   StatePool<Rep> pool_;
-  /// Reused across expansions by enumerate_candidates_into.
+  [[nodiscard]] Rep acquire_state() {
+    if constexpr (kPooled) {
+      return pool_.acquire();
+    } else {
+      return Rep();
+    }
+  }
+  void release_state(Rep&& state) {
+    if constexpr (kPooled) pool_.release(std::move(state));
+  }
+  /// Reused across expansions: enumerate_candidates_into's output and
+  /// expand()'s priced children.
   std::vector<Candidate> candidates_buf_;
+  std::vector<ChildEval> children_buf_;
 
   std::vector<NodeRecord> arena_;
   std::vector<QueueEntry> heap_;  // std::push_heap/pop_heap with EntryLess
@@ -265,10 +290,13 @@ class BasicSearch {
 
 /// The sparse engine (cube vectors) — the pre-existing name.
 using Search = BasicSearch<Pprm>;
-/// The dense word-parallel engine (coefficient bitsets).
+/// The dense engines: one-word spectra at n <= 6, multi-word bitsets
+/// above.
+using WordSearch = BasicSearch<WordPprm>;
 using DenseSearch = BasicSearch<DensePprm>;
 
 extern template class BasicSearch<Pprm>;
+extern template class BasicSearch<WordPprm>;
 extern template class BasicSearch<DensePprm>;
 
 }  // namespace rmrls

@@ -37,16 +37,18 @@ bool pick_dense(const Pprm& spec, const SynthesisOptions& options) {
 }
 
 /// One search pass. Each pass independently picks the kernel for its
-/// representation of the spec — both kernels expand the same tree and
-/// emit the same circuit, so the choice only affects throughput (and the
-/// dense_kernel stats flag).
+/// representation of the spec — every kernel expands the same tree and
+/// emits the same circuit, so the choice only affects throughput (and the
+/// dense_kernel stats flag). A dense pass at n <= 6 runs on one-word
+/// states, a wider one on multi-word bitsets.
 SynthesisResult run_search(const Pprm& spec, const SynthesisOptions& options) {
-  if (pick_dense(spec, options)) {
-    SynthesisResult r = DenseSearch(DensePprm(spec), options).run();
-    r.stats.dense_kernel = true;
-    return r;
-  }
-  return Search(spec, options).run();
+  if (!pick_dense(spec, options)) return Search(spec, options).run();
+  SynthesisResult r =
+      spec.num_vars() <= WordPprm::kMaxVariables
+          ? WordSearch(WordPprm(spec), options).run()
+          : DenseSearch(DensePprm(spec), options).run();
+  r.stats.dense_kernel = true;
+  return r;
 }
 
 /// Tells the trace sink (if any) that the driver starts an

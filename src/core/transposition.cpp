@@ -47,15 +47,21 @@ TranspositionTable::TranspositionTable(const Config& config) {
 // Heap arrays up to kHeapLimitBytes: malloc hands the same memory back to
 // the next call's table without page faults. Above, one private mapping
 // per size: glibc would keep a freed large array for reuse, and a search
-// that doubles past it would hold both.
+// that doubles past it would hold both. A doubling's reinsertion spreads
+// its entries over every page of the new array, so the mapping is
+// populated up front: one call faults the whole array in, instead of one
+// trap per page.
 TranspositionTable::Array TranspositionTable::allocate(std::size_t buckets) {
   const std::size_t bytes = buckets * sizeof(Bucket);
   void* p = nullptr;
   if (bytes <= kHeapLimitBytes) {
     p = std::calloc(buckets, sizeof(Bucket));
   } else {
-    p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    int flags = MAP_PRIVATE | MAP_ANONYMOUS;
+#ifdef MAP_POPULATE
+    flags |= MAP_POPULATE;
+#endif
+    p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, flags, -1, 0);
     if (p == MAP_FAILED) p = nullptr;
   }
   return Array(static_cast<Bucket*>(p), Release{buckets});

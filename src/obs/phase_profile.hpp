@@ -7,8 +7,10 @@
 /// PhaseProfile is installed (SynthesisOptions::phase_profile == nullptr)
 /// a timer is two inlined null checks and zero clock reads, so the search
 /// hot path stays clean. When installed, each scope costs two
-/// steady_clock reads; the engine therefore brackets whole loops, not
-/// individual substitutions.
+/// steady_clock reads. The engine brackets each expansion's enumeration
+/// and pricing loops, but also each materialized child and each heap push
+/// and pop, so an attached profile slows a search measurably
+/// (docs/observability.md gives the figure).
 
 #pragma once
 

@@ -181,8 +181,9 @@ std::ostream& operator<<(std::ostream& os, const Pprm& p);
 /// Free list of search states for the hot path: every materialized child
 /// that gets pruned (and every expanded queue entry) returns here, and
 /// the next materialization reuses its buffers instead of reallocating.
-/// Works for any representation the engine is instantiated over (Pprm or
-/// DensePprm). Single-threaded; each search owns one.
+/// Serves the heap-owning representations the engine is instantiated over
+/// (Pprm, DensePprm); WordPprm states are plain values and skip it.
+/// Single-threaded; each search owns one.
 template <class State>
 class StatePool {
  public:

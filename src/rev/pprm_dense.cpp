@@ -35,8 +35,9 @@ namespace {
   return (w ^ (w << (1 << j))) & kDenseVarMask[j];
 }
 
-// The whole toggle image of a one-word spectrum `s`: gather, then fold
-// along every variable of f (all below 6 when the spectrum is one word).
+// The whole toggle image of a one-word spectrum `s` (WordPprm): gather,
+// then fold along every variable of f (all below 6 when the spectrum is
+// one word).
 [[nodiscard]] std::uint64_t toggle_image_word(std::uint64_t s, int t,
                                               Cube f) {
   std::uint64_t w = gather_word(s, t);
@@ -62,6 +63,88 @@ int toggle_word(std::uint64_t& word, std::size_t i, std::uint64_t toggled,
 }
 
 }  // namespace
+
+WordPprm::WordPprm(const Pprm& sparse) {
+  if (sparse.num_vars() > kMaxVariables) {
+    throw std::invalid_argument("num_vars out of one-word range");
+  }
+  num_vars_ = sparse.num_vars();
+  const Cube limit = Cube{1} << num_vars_;
+  for (int o = 0; o < num_vars_; ++o) {
+    for (Cube c : sparse.output(o).cubes()) {
+      if (c >= limit) {
+        throw std::invalid_argument("cube outside dense coefficient range");
+      }
+      bits_[static_cast<std::size_t>(o)] |= std::uint64_t{1} << c;
+    }
+    hash_[static_cast<std::size_t>(o)] = sparse.output(o).raw_hash();
+  }
+}
+
+int WordPprm::term_count() const {
+  int n = 0;
+  for (int o = 0; o < num_vars_; ++o) {
+    n += std::popcount(bits_[static_cast<std::size_t>(o)]);
+  }
+  return n;
+}
+
+bool WordPprm::is_identity() const {
+  for (int i = 0; i < num_vars_; ++i) {
+    if (bits_[static_cast<std::size_t>(i)] !=
+        std::uint64_t{1} << cube_of_var(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+int WordPprm::substitute_into(int t, Cube f, WordPprm& dst) const {
+  if (f & cube_of_var(t)) {
+    throw std::invalid_argument("factor contains target variable");
+  }
+  dst = *this;
+  int delta = 0;
+  for (std::size_t o = 0; o < static_cast<std::size_t>(num_vars_); ++o) {
+    const std::uint64_t image = toggle_image_word(dst.bits_[o], t, f);
+    if (image != 0) delta += toggle_word(dst.bits_[o], 0, image, dst.hash_[o]);
+  }
+  return delta;
+}
+
+int WordPprm::substitute_delta(int t, Cube f) const {
+  if (f & cube_of_var(t)) {
+    throw std::invalid_argument("factor contains target variable");
+  }
+  int delta = 0;
+  for (int o = 0; o < num_vars_; ++o) {
+    const std::uint64_t s = bits_[static_cast<std::size_t>(o)];
+    delta += std::popcount(s ^ toggle_image_word(s, t, f)) - std::popcount(s);
+  }
+  return delta;
+}
+
+std::size_t WordPprm::hash() const {
+  std::uint64_t h = kSystemHashSeed;
+  for (int i = 0; i < num_vars_; ++i) {
+    h = fold_output_hash(h, hash_[static_cast<std::size_t>(i)],
+                         static_cast<std::size_t>(i));
+  }
+  return static_cast<std::size_t>(h);
+}
+
+Pprm WordPprm::to_pprm() const {
+  Pprm p(num_vars_);
+  for (int o = 0; o < num_vars_; ++o) {
+    std::vector<Cube> cubes;
+    for (std::uint64_t w = bits_[static_cast<std::size_t>(o)]; w != 0;
+         w &= w - 1) {
+      cubes.push_back(static_cast<Cube>(std::countr_zero(w)));
+    }
+    p.output(o) = CubeList(std::move(cubes));
+  }
+  return p;
+}
 
 DensePprm::DensePprm(int num_vars) {
   if (num_vars < 0 || num_vars > kMaxDenseVariables) {
@@ -179,17 +262,6 @@ int DensePprm::apply_toggle_image(int o, const std::uint64_t* image) {
 
 int DensePprm::apply_substitution(int t, Cube f) {
   int delta = 0;
-  if (words_ == 1) {
-    // One word per output: the whole image lives in a register.
-    for (std::size_t o = 0; o < bits_.size(); ++o) {
-      const std::uint64_t image = toggle_image_word(bits_[o], t, f);
-      if (image == 0) continue;
-      const int d = toggle_word(bits_[o], 0, image, out_hash_[o]);
-      out_count_[o] += d;
-      delta += d;
-    }
-    return delta;
-  }
   std::uint64_t* image = scratch_words(words_);
   for (int o = 0; o < num_vars_; ++o) {
     if (!build_toggle_image(output_bits(o), t, f, image)) continue;
@@ -226,13 +298,6 @@ int DensePprm::substitute_delta(int t, Cube f) const {
   // pricing loop (the search's hottest call) never touches a hash or a
   // destination buffer.
   int delta = 0;
-  if (words_ == 1) {
-    for (const std::uint64_t s : bits_) {
-      delta += std::popcount(s ^ toggle_image_word(s, t, f)) -
-               std::popcount(s);
-    }
-    return delta;
-  }
   std::uint64_t* image = scratch_words(words_);
   for (int o = 0; o < num_vars_; ++o) {
     const std::uint64_t* s = output_bits(o);

@@ -10,21 +10,25 @@
 /// (`substitute_delta`) to popcounts — the bit-slicing family behind the
 /// fast Moebius transform in pprm_transform.cpp. See docs/dense_pprm.md
 /// for the layout and the kernel's two regimes (whole-word moves when a
-/// variable index is >= 6, masked intra-word shuffles below); at n <= 6,
-/// where a spectrum is one word, each output's substitution runs on one
-/// register with no per-word loop and no scratch buffer.
+/// variable index is >= 6, masked intra-word shuffles below).
 ///
-/// DensePprm mirrors the subset of Pprm's interface the search engine
-/// needs (core/search.hpp is templated over the representation), and its
-/// hash() folds per-output raw hashes exactly like Pprm::hash(), so the
-/// two representations of one system make identical transposition-table
-/// decisions. The synthesizer picks the representation per search pass
-/// via SynthesisOptions::dense_threshold.
+/// Two dense types share that kernel. WordPprm holds a system of at most
+/// six lines, where each output's spectrum is one word: fixed arrays, no
+/// heap, trivially copyable, so a search keeps it inside its queue entry.
+/// DensePprm holds the wider systems in heap vectors. Both mirror the
+/// subset of Pprm's interface the search engine needs (core/search.hpp is
+/// templated over the representation), and their hash() folds per-output
+/// raw hashes exactly like Pprm::hash(), so every representation of one
+/// system makes identical transposition-table decisions. The synthesizer
+/// picks the representation per search pass via
+/// SynthesisOptions::dense_threshold: WordPprm at n <= 6, DensePprm above.
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "rev/cube.hpp"
@@ -46,10 +50,74 @@ inline constexpr std::uint64_t kDenseVarMask[6] = {
     0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull,
 };
 
+/// The PPRM spectra of every output of a reversible function on at most
+/// kMaxVariables lines, one 64-bit word per output: bit m of word o is the
+/// coefficient of the cube with variable mask m. Each output's substitution
+/// runs in a register, with no per-word loop and no scratch buffer. Same
+/// contract as DensePprm: substitute_delta, substitute_into, is_identity,
+/// term_count, and hash() equal to Pprm::hash().
+class WordPprm {
+ public:
+  static constexpr int kMaxVariables = 6;
+
+  WordPprm() = default;
+
+  /// Densifies a sparse system. Throws std::invalid_argument if `sparse`
+  /// is wider than kMaxVariables or contains a cube over variables >=
+  /// num_vars().
+  explicit WordPprm(const Pprm& sparse);
+
+  [[nodiscard]] int num_vars() const { return num_vars_; }
+
+  /// One word per output; lets code written for DensePprm's bitsets take
+  /// either type.
+  [[nodiscard]] static constexpr std::size_t words_per_output() { return 1; }
+
+  /// The coefficient word of output `i`.
+  [[nodiscard]] const std::uint64_t* output_bits(int i) const {
+    return &bits_[static_cast<std::size_t>(i)];
+  }
+
+  /// True if output `i`'s expansion contains cube `c`.
+  [[nodiscard]] bool output_contains(int i, Cube c) const {
+    return (bits_[static_cast<std::size_t>(i)] >> c) & 1u;
+  }
+
+  /// Total number of terms across all outputs (the paper's `terms`).
+  [[nodiscard]] int term_count() const;
+
+  /// True if every output is exactly its paired variable.
+  [[nodiscard]] bool is_identity() const;
+
+  /// Writes to `dst` the result of `v_t <- v_t XOR f` applied to every
+  /// output, leaving `*this` untouched. Precondition: `f` does not
+  /// contain `v_t`. Returns the change in total term count.
+  int substitute_into(int t, Cube f, WordPprm& dst) const;
+
+  /// Term-count change substitute_into would report, without writing.
+  [[nodiscard]] int substitute_delta(int t, Cube f) const;
+
+  /// Order-independent hash of the whole system, equal to Pprm::hash() of
+  /// the same system.
+  [[nodiscard]] std::size_t hash() const;
+
+  /// Sparsifies back (tests).
+  [[nodiscard]] Pprm to_pprm() const;
+
+ private:
+  std::array<std::uint64_t, kMaxVariables> bits_{};  // one word per output
+  std::array<std::uint64_t, kMaxVariables> hash_{};  // XOR of cube_hash
+  int num_vars_ = 0;
+};
+
+static_assert(std::is_trivially_copyable_v<WordPprm>,
+              "word states are copied by value through the search queue");
+
 /// The PPRM spectra of every output of an n-line reversible function,
 /// stored dense: bit m of output o's bitset is the coefficient of the
 /// cube with variable mask m. Same output-i-pairs-with-variable-i
-/// convention as Pprm.
+/// convention as Pprm. Correct at any width up to kMaxDenseVariables; the
+/// synthesizer uses it above WordPprm::kMaxVariables.
 class DensePprm {
  public:
   DensePprm() = default;
@@ -145,8 +213,8 @@ class DensePprm {
   int apply_toggle_image(int o, const std::uint64_t* image);
 
   /// Applies `v_t <- v_t XOR f` in place (the body of substitute and
-  /// substitute_into; f already checked). One-word systems (n <= 6) keep
-  /// each output's image in a register; wider ones build it in scratch.
+  /// substitute_into; f already checked), building each output's image in
+  /// scratch.
   int apply_substitution(int t, Cube f);
 
   int num_vars_ = 0;

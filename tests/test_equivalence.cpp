@@ -40,8 +40,9 @@ TEST(Equivalence, DetectsSingleGateDifference) {
 }
 
 TEST(Equivalence, WidthMismatchThrows) {
-  EXPECT_THROW(equivalent(Circuit(3), Circuit(4)), std::invalid_argument);
-  EXPECT_THROW(equivalent(Circuit(3), Pprm::identity(4)),
+  EXPECT_THROW((void)equivalent(Circuit(3), Circuit(4)),
+               std::invalid_argument);
+  EXPECT_THROW((void)equivalent(Circuit(3), Pprm::identity(4)),
                std::invalid_argument);
 }
 

@@ -29,8 +29,9 @@ TEST(MixedGate, UncontrolledFredkinIsSwap) {
 }
 
 TEST(MixedGate, Validation) {
-  EXPECT_THROW(MixedGate::fredkin(kConstOne, 1, 1), std::invalid_argument);
-  EXPECT_THROW(MixedGate::fredkin(cube_of_var(0), 0, 1),
+  EXPECT_THROW((void)MixedGate::fredkin(kConstOne, 1, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)MixedGate::fredkin(cube_of_var(0), 0, 1),
                std::invalid_argument);
 }
 

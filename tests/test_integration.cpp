@@ -63,7 +63,9 @@ TEST(Integration, BenchmarkPipelineSmall) {
     const SynthesisResult r = synthesize(b.pprm, o);
     ASSERT_TRUE(r.success) << name;
     EXPECT_TRUE(implements(r.circuit, b.pprm)) << name;
-    if (b.table) EXPECT_TRUE(implements(r.circuit, *b.table)) << name;
+    if (b.table) {
+      EXPECT_TRUE(implements(r.circuit, *b.table)) << name;
+    }
     EXPECT_GT(quantum_cost(r.circuit), 0) << name;
   }
 }

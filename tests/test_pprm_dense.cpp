@@ -1,9 +1,10 @@
 // Tests for the word-parallel dense PPRM kernel (rev/pprm_dense.hpp):
 // construction, substitution in both word-move (t >= 6) and intra-word
-// mask (t < 6) regimes, and — the load-bearing property — full agreement
-// with the sparse representation: equal spectra, equal substitute_delta,
-// equal hashes, identical candidate enumerations, and bit-identical
-// synthesized circuits. See docs/dense_pprm.md.
+// mask (t < 6) regimes, the one-word WordPprm states of n <= 6, and — the
+// load-bearing property — full agreement with the sparse representation:
+// equal spectra, equal substitute_delta, equal hashes, identical candidate
+// enumerations, and bit-identical synthesized circuits. See
+// docs/dense_pprm.md.
 
 #include "rev/pprm_dense.hpp"
 
@@ -50,9 +51,14 @@ TEST(DensePprm, ConversionRoundTrip) {
 TEST(DensePprm, ConstructorRejectsOutOfRange) {
   EXPECT_THROW(DensePprm(-1), std::invalid_argument);
   EXPECT_THROW(DensePprm(kMaxDenseVariables + 1), std::invalid_argument);
-  // A sparse system whose cubes exceed the declared width cannot exist
-  // through the public API, but the dense constructor still guards.
-  EXPECT_NO_THROW(DensePprm(kMaxDenseVariables));
+  // The widest system is accepted and built: 2^20 words per output, about
+  // 208 MiB in all.
+  DensePprm widest;
+  EXPECT_NO_THROW(widest = DensePprm(kMaxDenseVariables));
+  EXPECT_EQ(widest.words_per_output(), std::size_t{1} << 20);
+  EXPECT_EQ(widest.term_count(), 0);
+  EXPECT_THROW((void)WordPprm(Pprm(WordPprm::kMaxVariables + 1)),
+               std::invalid_argument);
 }
 
 TEST(DensePprm, SubstituteRejectsSelfTarget) {
@@ -99,44 +105,82 @@ TEST(DensePprm, WordMoveRegimeMatchesSparse) {
   }
 }
 
-// At n <= 6 a spectrum is one word and the kernel runs on registers: for
-// every target and every factor over the other variables (kConstOne, and
-// at n = 6 the cubes containing v5 included), its delta, spectrum and hash
-// must match the sparse substitution, through substitute_delta,
-// substitute_into (one destination reused across widths) and substitute.
+// At n <= 6 a spectrum is one word. WordPprm runs each output's
+// substitution in a register; DensePprm runs the same system through its
+// general word loop. For every target and every factor over the other
+// variables (kConstOne, and at n = 6 the cubes containing v5 included),
+// both must match the sparse substitution in delta, spectrum, hash, term
+// count and is_identity, through substitute_delta and substitute_into
+// (one destination reused across widths), and DensePprm through
+// substitute too.
 TEST(DensePprm, OneWordPathMatchesSparseForEveryTargetAndFactor) {
   std::mt19937_64 rng(16);
+  std::mt19937_64 cascade_rng(17);
   DensePprm dst;
+  WordPprm word_dst;
   for (int n = 1; n <= 6; ++n) {
     ASSERT_EQ(DensePprm(n).words_per_output(), 1u);
-    for (int trial = 0; trial < 3; ++trial) {
+    for (int trial = 0; trial < 4; ++trial) {
+      // Three random functions, then a start one gate from the identity,
+      // so some substitutions reach it and is_identity is checked both
+      // ways. The cascade draws from its own generator and leaves the
+      // random functions' sequence alone.
       const Pprm start =
-          pprm_of_truth_table(random_reversible_function(n, rng));
+          trial < 3
+              ? pprm_of_truth_table(random_reversible_function(n, rng))
+              : random_circuit(n, 1, GateLibrary::kGT, cascade_rng).to_pprm();
       const DensePprm dense(start);
+      const WordPprm word(start);
+      ASSERT_EQ(word.to_pprm(), start);
+      ASSERT_EQ(word.hash(), start.hash());
+      ASSERT_EQ(word.term_count(), start.term_count());
       const Cube all = (Cube{1} << n) - 1;
       for (int t = 0; t < n; ++t) {
         const Cube others = all & ~cube_of_var(t);
         // Every subset of the other variables, kConstOne (0) last.
         for (Cube f = others;; f = (f - 1) & others) {
+          SCOPED_TRACE(testing::Message()
+                       << "n=" << n << " t=" << t << " f=" << f);
           Pprm sparse = start;
           const int sd = sparse.substitute_delta(t, f);
           ASSERT_EQ(sparse.substitute(t, f), sd);
-          EXPECT_EQ(dense.substitute_delta(t, f), sd)
-              << "n=" << n << " t=" << t << " f=" << f;
+          EXPECT_EQ(dense.substitute_delta(t, f), sd);
           EXPECT_EQ(dense.substitute_into(t, f, dst), sd);
-          EXPECT_EQ(dst.to_pprm(), sparse)
-              << "n=" << n << " t=" << t << " f=" << f;
+          EXPECT_EQ(dst.to_pprm(), sparse);
           EXPECT_EQ(dst.hash(), sparse.hash());
           EXPECT_EQ(dst.term_count(), sparse.term_count());
+          EXPECT_EQ(dst.is_identity(), sparse.is_identity());
           DensePprm in_place = dense;
           EXPECT_EQ(in_place.substitute(t, f), sd);
           EXPECT_EQ(in_place, dst);
           EXPECT_EQ(in_place.hash(), sparse.hash());
+
+          EXPECT_EQ(word.substitute_delta(t, f), sd);
+          EXPECT_EQ(word.substitute_into(t, f, word_dst), sd);
+          EXPECT_EQ(word_dst.to_pprm(), sparse);
+          EXPECT_EQ(word_dst.hash(), sparse.hash());
+          EXPECT_EQ(word_dst.term_count(), sparse.term_count());
+          EXPECT_EQ(word_dst.is_identity(), sparse.is_identity());
           if (f == kConstOne) break;
         }
       }
     }
   }
+}
+
+TEST(WordPprm, IdentityMatchesSparse) {
+  for (int n = 0; n <= WordPprm::kMaxVariables; ++n) {
+    const WordPprm w(Pprm::identity(n));
+    EXPECT_TRUE(w.is_identity());
+    EXPECT_EQ(w.term_count(), n);
+    EXPECT_EQ(w.to_pprm(), Pprm::identity(n));
+    EXPECT_EQ(w.hash(), Pprm::identity(n).hash());
+  }
+  WordPprm dst;
+  EXPECT_THROW(WordPprm(Pprm::identity(3)).substitute_into(0, a(), dst),
+               std::invalid_argument);
+  EXPECT_THROW((void)WordPprm(Pprm::identity(3)).substitute_delta(1, b()),
+               std::invalid_argument);
 }
 
 TEST(DensePprm, SubstituteIntoReusesPooledDestination) {
@@ -170,6 +214,18 @@ TEST(DensePprm, EvalMatchesSparse) {
   }
 }
 
+// Same order, not just same set: tie-breaking, greedy pruning and seq
+// numbering in the engine all depend on it.
+void expect_same_candidates(const std::vector<Candidate>& want,
+                            const std::vector<Candidate>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].target, got[i].target);
+    EXPECT_EQ(want[i].factor, got[i].factor);
+    EXPECT_EQ(want[i].additional, got[i].additional);
+  }
+}
+
 TEST(DensePprm, CandidateEnumerationMatchesSparse) {
   std::mt19937_64 rng(15);
   for (int n = 2; n <= 9; ++n) {
@@ -177,20 +233,26 @@ TEST(DensePprm, CandidateEnumerationMatchesSparse) {
         pprm_of_truth_table(random_reversible_function(n, rng));
     const DensePprm dense(sparse);
     for (const bool relaxed : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " relaxed=" << relaxed);
       SynthesisOptions options;
       options.allow_relaxed_targets = relaxed;
       std::vector<Candidate> from_sparse;
       std::vector<Candidate> from_dense;
       enumerate_candidates_into(sparse, options, nullptr, from_sparse);
       enumerate_candidates_into(dense, options, nullptr, from_dense);
-      ASSERT_EQ(from_sparse.size(), from_dense.size()) << "n=" << n;
-      for (std::size_t i = 0; i < from_sparse.size(); ++i) {
-        // Same order, not just same set: tie-breaking, greedy pruning and
-        // seq numbering in the engine all depend on it.
-        EXPECT_EQ(from_sparse[i].target, from_dense[i].target);
-        EXPECT_EQ(from_sparse[i].factor, from_dense[i].factor);
-        EXPECT_EQ(from_sparse[i].additional, from_dense[i].additional);
-      }
+      expect_same_candidates(from_sparse, from_dense);
+      if (n > WordPprm::kMaxVariables) continue;
+      // The word overload, with and without a skipped candidate.
+      std::vector<Candidate> from_word;
+      enumerate_candidates_into(WordPprm(sparse), options, nullptr,
+                                from_word);
+      expect_same_candidates(from_sparse, from_word);
+      if (from_sparse.empty()) continue;
+      const Candidate skip = from_sparse[from_sparse.size() / 2];
+      enumerate_candidates_into(sparse, options, &skip, from_sparse);
+      enumerate_candidates_into(WordPprm(sparse), options, &skip,
+                                from_word);
+      expect_same_candidates(from_sparse, from_word);
     }
   }
 }
@@ -258,14 +320,23 @@ TEST(DensePprm, HashDistinguishesStatesLikeSparse) {
 
 // The acceptance criterion of the adaptive switch: below the threshold the
 // dense and sparse engines must synthesize bit-identical circuits (same
-// gates in the same order), not merely circuits of equal size.
+// gates in the same order) after expanding the same trees, not merely
+// circuits of equal size. The dense side runs one-word states at n = 3..6
+// and multi-word bitsets at n = 7.
 TEST(DensePprm, EnginesProduceIdenticalCircuits) {
   std::mt19937_64 rng(0xc1c1);
-  for (int n : {3, 4}) {
-    for (int trial = 0; trial < (n == 3 ? 12 : 4); ++trial) {
-      const TruthTable spec = random_reversible_function(n, rng);
+  for (int n = 3; n <= 7; ++n) {
+    for (int trial = 0; trial < (n == 3 ? 12 : n == 4 ? 4 : 3); ++trial) {
+      // Random functions at n <= 4. Above, one random function, which
+      // runs into the budget, then random cascades, which it solves.
+      const bool cascade = n > 4 && trial > 0;
+      const TruthTable spec =
+          cascade ? random_circuit(n, 6, GateLibrary::kGT, rng)
+                        .to_truth_table()
+                  : random_reversible_function(n, rng);
+      SCOPED_TRACE(testing::Message() << "n=" << n << " trial=" << trial);
       SynthesisOptions dense_opts;
-      dense_opts.max_nodes = 20000;
+      dense_opts.max_nodes = n <= 4 ? 20000 : 500;
       SynthesisOptions sparse_opts = dense_opts;
       sparse_opts.dense_threshold = 0;
       const SynthesisResult dr = synthesize(spec, dense_opts);
@@ -273,13 +344,11 @@ TEST(DensePprm, EnginesProduceIdenticalCircuits) {
       ASSERT_EQ(dr.success, sr.success);
       EXPECT_TRUE(dr.stats.dense_kernel);
       EXPECT_FALSE(sr.stats.dense_kernel);
+      EXPECT_EQ(dr.stats.nodes_expanded, sr.stats.nodes_expanded);
+      EXPECT_EQ(dr.stats.children_pushed, sr.stats.children_pushed);
+      EXPECT_EQ(dr.stats.tt_inserts, sr.stats.tt_inserts);
       if (!dr.success) continue;
-      ASSERT_EQ(dr.circuit.gate_count(), sr.circuit.gate_count());
-      for (std::size_t g = 0; g < dr.circuit.gates().size(); ++g) {
-        EXPECT_EQ(dr.circuit.gates()[g].target, sr.circuit.gates()[g].target);
-        EXPECT_EQ(dr.circuit.gates()[g].controls,
-                  sr.circuit.gates()[g].controls);
-      }
+      EXPECT_EQ(dr.circuit, sr.circuit);
       EXPECT_TRUE(implements(dr.circuit, spec));
     }
   }

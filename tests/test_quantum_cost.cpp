@@ -31,9 +31,9 @@ TEST(ToffoliCost, LinearWithBorrowedLine) {
 }
 
 TEST(ToffoliCost, RejectsBadArguments) {
-  EXPECT_THROW(toffoli_cost(0, 0), std::invalid_argument);
-  EXPECT_THROW(toffoli_cost(3, -1), std::invalid_argument);
-  EXPECT_THROW(toffoli_cost(63, 0), std::invalid_argument);  // overflow
+  EXPECT_THROW((void)toffoli_cost(0, 0), std::invalid_argument);
+  EXPECT_THROW((void)toffoli_cost(3, -1), std::invalid_argument);
+  EXPECT_THROW((void)toffoli_cost(63, 0), std::invalid_argument);  // overflow
 }
 
 TEST(QuantumCost, PaperAnchorRd32) {

@@ -165,6 +165,15 @@ TEST(Resilient, PrimaryStageMatchesSynthesize) {
   EXPECT_GT(direct.stats.history_hits, 0u);
 }
 
+// A dense search that wins stage 1 ran on one kernel throughout: the
+// cascade reports its stats as they are, with no representation switch.
+TEST(Resilient, DenseWinReportsNoRepresentationSwitch) {
+  const ResilientResult rr = synthesize_resilient(fig1_pprm());
+  ASSERT_EQ(rr.engine, FallbackEngine::kBestFirst);
+  EXPECT_TRUE(rr.result.stats.dense_kernel);
+  EXPECT_EQ(rr.result.stats.representation_switches, 0u);
+}
+
 TEST(Resilient, CascadesToGreedy) {
   // One node of search budget: best-first cannot find fig1's 3-gate
   // cascade, greedy can.

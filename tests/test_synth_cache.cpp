@@ -284,7 +284,7 @@ std::vector<BatchJob> orbit_heavy_jobs(int n, int unique, int copies,
         if (rng() & 1u) t = t.inverse();
       }
       jobs.push_back(BatchJob{
-          "job" + std::to_string(jobs.size()), std::move(t)});
+          "job" + std::to_string(jobs.size()), std::move(t), ""});
     }
   }
   return jobs;
@@ -324,6 +324,24 @@ TEST(Batch, CountersRespectTheirInvariants) {
   EXPECT_GT(s.cache_hits, 0u);
 }
 
+// Jobs are not passes of one search. Orbit hits carry no search (a
+// sparse default record) and misses run dense, yet the summary sums each
+// job's own switch count, which is 0 for every one of them.
+TEST(Batch, DenseSummaryReportsNoRepresentationSwitch) {
+  const std::vector<BatchJob> jobs = orbit_heavy_jobs(3, 3, 3, 14);
+  SynthCache cache(SynthCacheOptions{});
+  BatchOptions options;
+  options.cache = &cache;
+  const BatchResult result = run_batch(jobs, options);
+  ASSERT_TRUE(result.status.ok());
+  ASSERT_GT(result.stats.cache_hits, 0u);
+  for (const BatchJobOutcome& out : result.outcomes) {
+    EXPECT_EQ(out.result.stats.representation_switches, 0u) << out.name;
+  }
+  EXPECT_TRUE(result.search_stats.dense_kernel);
+  EXPECT_EQ(result.search_stats.representation_switches, 0u);
+}
+
 TEST(Batch, CachelessRunMatchesSingleShotSynthesis) {
   // Without a cache the driver must behave like per-job
   // synthesize_resilient on the original spec (the --cache-mb 0
@@ -332,8 +350,8 @@ TEST(Batch, CachelessRunMatchesSingleShotSynthesis) {
   std::mt19937_64 rng(13);
   std::vector<BatchJob> jobs;
   for (int i = 0; i < 3; ++i) {
-    jobs.push_back(
-        BatchJob{"j" + std::to_string(i), random_reversible_function(3, rng)});
+    jobs.push_back(BatchJob{"j" + std::to_string(i),
+                            random_reversible_function(3, rng), ""});
   }
   for (const int threads : {1, 8}) {
     SCOPED_TRACE(threads);
@@ -356,8 +374,8 @@ TEST(Batch, SharedDeadlineCancelsUnstartedJobs) {
   std::mt19937_64 rng(14);
   std::vector<BatchJob> jobs;
   for (int i = 0; i < 4; ++i) {
-    jobs.push_back(
-        BatchJob{"j" + std::to_string(i), random_reversible_function(4, rng)});
+    jobs.push_back(BatchJob{"j" + std::to_string(i),
+                            random_reversible_function(4, rng), ""});
   }
   CancelToken token;
   token.cancel(CancelReason::kUser);
@@ -418,7 +436,7 @@ TEST(Batch, CachedCircuitOfTheWrongWidthIsAMiss) {
   cache.insert(canonicalize(spec).key, toy_circuit(3, 1));
   BatchOptions options;
   options.cache = &cache;
-  const BatchResult result = run_batch({BatchJob{"tof4", spec}}, options);
+  const BatchResult result = run_batch({BatchJob{"tof4", spec, ""}}, options);
   ASSERT_EQ(result.outcomes.size(), 1u);
   const BatchJobOutcome& out = result.outcomes[0];
   EXPECT_TRUE(out.status.ok());

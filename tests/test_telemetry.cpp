@@ -77,7 +77,9 @@ TEST(TelemetryHistogram, BucketBoundaries) {
   for (const std::uint64_t v : {0ull, 1ull, 2ull, 5ull, 100ull, 65536ull}) {
     const int b = Histogram::bucket_of(v);
     EXPECT_LE(v, Histogram::bucket_upper(b));
-    if (b > 0) EXPECT_GT(v, Histogram::bucket_upper(b - 1));
+    if (b > 0) {
+      EXPECT_GT(v, Histogram::bucket_upper(b - 1));
+    }
   }
 }
 
@@ -254,8 +256,8 @@ TEST(BatchTraceIds, AssignedUniquePerJobWhenArmed) {
   std::mt19937_64 rng(7);
   std::vector<BatchJob> jobs;
   for (int i = 0; i < 4; ++i) {
-    jobs.push_back(
-        BatchJob{"j" + std::to_string(i), random_reversible_function(3, rng)});
+    jobs.push_back(BatchJob{"j" + std::to_string(i),
+                            random_reversible_function(3, rng), ""});
   }
   BatchOptions options;
   options.total_threads = 2;
@@ -284,7 +286,7 @@ TEST(BatchTraceIds, ZeroWhenTelemetryDisabled) {
   Telemetry::disable();
   std::mt19937_64 rng(8);
   std::vector<BatchJob> jobs;
-  jobs.push_back(BatchJob{"only", random_reversible_function(3, rng)});
+  jobs.push_back(BatchJob{"only", random_reversible_function(3, rng), ""});
   const BatchResult result = run_batch(jobs, {});
   EXPECT_TRUE(result.status.ok());
   ASSERT_EQ(result.outcomes.size(), 1u);

@@ -403,7 +403,7 @@ int main(int argc, char** argv) {
 
       std::vector<BatchJob> jobs;
       for (NamedSpec& s : parsed.value()) {
-        jobs.push_back(BatchJob{std::move(s.name), std::move(s.table)});
+        jobs.push_back(BatchJob{std::move(s.name), std::move(s.table), ""});
       }
       // Ids are assigned over the FULL corpus before shard filtering so a
       // job keeps the same id whatever N is (docs/fleet.md) — a checkpoint
