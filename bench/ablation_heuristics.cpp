@@ -107,13 +107,6 @@ int main(int argc, char** argv) {
        [](SynthesisOptions& o) { o.tt_mb = 1; }},
       {"no history heuristic",
        [](SynthesisOptions& o) { o.use_history = false; }},
-      {"no iterative deepening",
-       [](SynthesisOptions& o) { o.iterative_deepening = false; }},
-      {"no ID, no history",
-       [](SynthesisOptions& o) {
-         o.iterative_deepening = false;
-         o.use_history = false;
-       }},
       {"no iterative refinement",
        [](SynthesisOptions& o) { o.iterative_refinement = false; }},
       {"exempt scope = additional",

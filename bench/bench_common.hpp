@@ -36,19 +36,16 @@ struct BenchArgs {
   /// Dense-kernel width cap (docs/dense_pprm.md): -1 = keep the library
   /// default, 0 = force sparse, N > 0 = dense up to N variables.
   int dense_threshold = -1;
-  /// Search-core knobs (docs/search_tables.md): transposition-table budget,
-  /// plus the history and iterative-deepening kill switches the ablation
-  /// harness flips.
+  /// Search-core knobs (docs/search_tables.md): transposition-table budget
+  /// and the history kill switch.
   int tt_mb = 0;  // 0 = library default
   bool use_history = true;
-  bool iterative_deepening = true;
 
   /// Copies the flags that map one-to-one onto SynthesisOptions fields.
   void apply(SynthesisOptions& options) const {
     if (dense_threshold >= 0) options.dense_threshold = dense_threshold;
     if (tt_mb > 0) options.tt_mb = tt_mb;
     options.use_history = use_history;
-    options.iterative_deepening = iterative_deepening;
   }
 
   /// Adds the shared harness flags to `flags`, bound to this object.
@@ -71,9 +68,7 @@ struct BenchArgs {
         .number("--tt-mb", tt_mb, "N",
                 "transposition-table budget in MiB (0 = library default)", 0)
         .flag("--no-history", use_history,
-              "disable the history-heuristic ordering bonus", false)
-        .flag("--no-id", iterative_deepening,
-              "disable iterative deepening on the gate bound", false);
+              "disable the history-heuristic ordering bonus", false);
   }
 
   static BenchArgs parse(int argc, char** argv) {

@@ -12,8 +12,8 @@
 /// The table is written on two events:
 ///   * record_solution() walks each newly recorded (strictly improving)
 ///     solution path and rewards every gate on it, and
-///   * the iterative-deepening driver re-rewards the best circuit found
-///     so far before each next pass — "the previous iteration's circuit
+///   * the refinement driver re-rewards the best circuit found so far
+///     before each tightening rerun — "the previous iteration's circuit
 ///     seeds the next iteration's move ordering".
 /// decay() halves every score between passes so stale preferences fade.
 ///

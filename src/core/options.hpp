@@ -105,11 +105,12 @@ struct SynthesisOptions {
 
   /// The transposition table the engines dedup against (non-owning, like
   /// trace_sink). synthesize() builds one per call from tt_mb when
-  /// use_transposition_table is set, and installs it here so the
-  /// iterative-deepening ladder and the refinement reruns share it — the
-  /// driver bumps its generation between passes, and the table keeps the
-  /// size it has grown to across them. synthesize() overwrites a caller's
-  /// value; null means the engines run without deduplication.
+  /// use_transposition_table is set, and installs it here so all the
+  /// call's passes share it (the opening pass, the broad-scope retry and
+  /// the refinement reruns) — the driver bumps its generation between
+  /// passes, and the table keeps the size it has grown to across them.
+  /// synthesize() overwrites a caller's value; null means the engines run
+  /// without deduplication.
   TranspositionTable* tt = nullptr;
 
   /// History-guided ordering (core/history.hpp): blend each candidate's
@@ -123,14 +124,6 @@ struct SynthesisOptions {
   /// installs it here, so its passes share learned preferences; it
   /// overwrites a caller's value. Null means no history ordering.
   HistoryTable* history = nullptr;
-
-  /// Iterative deepening on the max-gates bound (`--no-id` disables):
-  /// synthesize() climbs a ladder of max_gates limits (each pass's
-  /// tighter cap prunes deep junk at creation) instead of opening with
-  /// one unbounded scouting run; each iteration's best circuit seeds the
-  /// next iteration's history ordering. Ignored in stop-at-first mode and
-  /// when the caller fixed max_gates.
-  bool iterative_deepening = true;
 
   /// Ablation variant of eq. (4): use cumulative terms eliminated since the
   /// root divided by depth, instead of the per-stage elimination the
@@ -255,9 +248,8 @@ struct SynthesisStats {
   /// Table generation after this run — the number of search passes (mod
   /// 256) the shared table has served. Merged by maximum.
   std::uint64_t tt_generation = 0;
-  /// Iterative-deepening ladder passes the driver executed (>= 1; plain
-  /// engine runs count as one). Merged by maximum: cascade stages report
-  /// their driver's ladder, not a sum of ladders.
+  /// Always 1: kept so the rmrls-metrics-v1 key `id_iterations` keeps its
+  /// value until the schema retires it together with `workers`.
   std::uint64_t id_iterations = 1;
   /// Candidates whose eq.-4 priority received a non-zero history bonus
   /// (core/history.hpp). 0 when use_history is off or nothing has been
@@ -310,9 +302,6 @@ inline void merge_job_stats(SynthesisStats& into, const SynthesisStats& from) {
   into.tt_evictions += from.tt_evictions;
   if (from.tt_generation > into.tt_generation) {
     into.tt_generation = from.tt_generation;
-  }
-  if (from.id_iterations > into.id_iterations) {
-    into.id_iterations = from.id_iterations;
   }
   into.history_hits += from.history_hits;
   into.representation_switches += from.representation_switches;

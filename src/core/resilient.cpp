@@ -139,7 +139,8 @@ ResilientResult resilient_impl(const Pprm& spec, const TruthTable* table,
   // Stage 1: the primary best-first search, on its share of the deadline.
   // synthesize() builds the pass-spanning transposition and history
   // tables, so one --tt-mb memory budget and one learned history cover
-  // every iterative-deepening rung and refinement rerun of this stage.
+  // every pass of this stage: the opening pass, the broad-scope retry and
+  // the refinement reruns.
   {
     SynthesisOptions sopts = options.search;
     sopts.cancel_token = token;

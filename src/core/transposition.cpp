@@ -117,8 +117,8 @@ bool TranspositionTable::check_and_insert(std::uint64_t hash,
           }
         } else {
           // A previous pass's entry: refresh instead of pruning, so a
-          // table shared across the ID ladder / refinement passes never
-          // suppresses the new pass's exploration.
+          // table shared across a call's passes never suppresses the new
+          // pass's exploration.
           e.gen = gen;
         }
         e.depth = depth;

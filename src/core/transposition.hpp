@@ -34,8 +34,8 @@
 /// from then on.
 ///
 /// Generations make one table safely shareable across the search passes of
-/// a whole synthesize() call (iterative deepening ladder + refinement
-/// reruns + the broad-scope retry): the driver bumps `new_generation()`
+/// a whole synthesize() call (the opening pass, the broad-scope retry and
+/// the refinement reruns): the driver bumps `new_generation()`
 /// per pass, and an entry from a previous generation never prunes — it is
 /// refreshed to the current generation on first touch. Within a
 /// generation the depth rule is the sequential table's, with the

@@ -199,8 +199,9 @@ bool MetricsValidator::check_v1(const JsonValue& v, const std::string& where) {
   }
   // Optional transposition-table / search-core fields (PR 7). Old records
   // may omit them entirely, but when the group is present its invariants
-  // hold: a table can only evict slots it inserted into, and every run
-  // makes at least one deepening iteration (non-ID runs report 1).
+  // hold: a table can only evict slots it inserted into, and
+  // id_iterations is at least 1 (new records always carry 1; older ones
+  // counted the passes of a deepening ladder and may carry more).
   const JsonValue* tt_inserts = v.find("tt_inserts");
   const JsonValue* tt_evictions = v.find("tt_evictions");
   if ((tt_inserts == nullptr) != (tt_evictions == nullptr)) {

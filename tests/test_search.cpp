@@ -83,13 +83,26 @@ TEST(Search, MaxGatesPrunes) {
   EXPECT_FALSE(r.success);
 }
 
+// A run whose opening pass is its only pass (refinement off, or
+// stop-at-first with refinement left on, which it overrides) has nothing
+// to save budget for: when it fails, it has spent all of max_nodes, not a
+// share of it.
 TEST(Search, NodeBudgetIsHonored) {
-  SynthesisOptions o;
-  o.max_nodes = 50;
-  o.iterative_refinement = false;
   const TruthTable spec({15, 1, 12, 3, 5, 6, 8, 7, 0, 10, 13, 9, 2, 4, 14, 11});
-  const SynthesisResult r = synthesize(spec, o);
-  EXPECT_LE(r.stats.nodes_expanded, 50u);
+  for (const bool stop_at_first : {false, true}) {
+    for (const std::uint64_t budget : {10u, 50u, 100u, 1000u}) {
+      SCOPED_TRACE(testing::Message() << "stop_at_first=" << stop_at_first
+                                      << " max_nodes=" << budget);
+      SynthesisOptions o;
+      o.max_nodes = budget;
+      o.stop_at_first_solution = stop_at_first;
+      o.iterative_refinement = stop_at_first;
+      const SynthesisResult r = synthesize(spec, o);
+      ASSERT_FALSE(r.success);
+      EXPECT_EQ(r.termination, TerminationReason::kNodeBudget);
+      EXPECT_EQ(r.stats.nodes_expanded, budget);
+    }
+  }
 }
 
 TEST(Search, StopAtFirstSolutionStopsEarly) {

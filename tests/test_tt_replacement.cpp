@@ -4,8 +4,7 @@
 // shallower-revisit-overwrites regression), generation aging and
 // rollover, bounded memory under sustained insert pressure, on-demand
 // growth (a grown table answers exactly like one built at its ceiling),
-// and the determinism of the iterative-deepening driver built on top of
-// it.
+// and the determinism of the search driver built on top of it.
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -125,8 +124,9 @@ TEST(TranspositionTable, EvictsOldestGenerationFirst) {
 
 // An entry from a previous generation must not prune the new pass: it is
 // refreshed (gen + depth) on first touch and prunes only within the new
-// generation. This is what makes one table shareable across the whole
-// iterative-deepening ladder and the refinement reruns.
+// generation. This is what makes one table shareable across all the
+// passes of a synthesize() call: the opening pass, the broad-scope retry
+// and the refinement reruns.
 TEST(TranspositionTable, StaleGenerationRefreshesInsteadOfPruning) {
   TranspositionTable tt(kOneBucket);
   ASSERT_FALSE(tt.check_and_insert(h(1), 2));
@@ -389,10 +389,11 @@ TEST(TranspositionTable, RefusedDoublingKeepsSizeAndEvicts) {
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
-// The iterative-deepening driver on top of the table must stay
-// bit-reproducible: same spec, same options, same
-// circuit, same node count — and it must report its rung count.
-TEST(IterativeDeepening, SingleThreadedRunsAreDeterministic) {
+// The search driver on top of the table must stay bit-reproducible: same
+// spec, same options, same circuit, same node count. Its stats keep the
+// v1 record's `id_iterations` at 1, the value docs/observability.md
+// promises.
+TEST(SearchDriver, SingleThreadedRunsAreDeterministic) {
   const TruthTable spec(
       {0, 7, 6, 9, 4, 11, 10, 13, 8, 15, 14, 1, 12, 3, 2, 5});
   SynthesisOptions o;
@@ -404,28 +405,14 @@ TEST(IterativeDeepening, SingleThreadedRunsAreDeterministic) {
   EXPECT_EQ(a.circuit.to_string(), b.circuit.to_string());
   EXPECT_EQ(a.stats.nodes_expanded, b.stats.nodes_expanded);
   EXPECT_EQ(a.stats.children_created, b.stats.children_created);
-  EXPECT_GE(a.stats.id_iterations, 1u);
-  EXPECT_EQ(a.stats.id_iterations, b.stats.id_iterations);
+  EXPECT_EQ(a.stats.id_iterations, 1u);
   EXPECT_TRUE(implements(a.circuit, spec));
-}
-
-// --no-id must restore the single full-depth pass: exactly one iteration
-// reported, and the result still valid.
-TEST(IterativeDeepening, DisabledReportsOneIteration) {
-  const TruthTable spec({1, 0, 7, 2, 3, 4, 5, 6});
-  SynthesisOptions o;
-  o.max_nodes = 50000;
-  o.iterative_deepening = false;
-  const SynthesisResult r = synthesize(spec, o);
-  ASSERT_TRUE(r.success);
-  EXPECT_EQ(r.stats.id_iterations, 1u);
-  EXPECT_TRUE(implements(r.circuit, spec));
 }
 
 // TT metrics surfaced through SynthesisStats: inserts move, evictions
 // never exceed them, and disabling the history heuristic zeroes its
 // counter while the search still succeeds.
-TEST(IterativeDeepening, StatsInvariantsAndHistoryKillSwitch) {
+TEST(SearchDriver, StatsInvariantsAndHistoryKillSwitch) {
   const TruthTable spec({1, 0, 7, 2, 3, 4, 5, 6});
   SynthesisOptions o;
   o.max_nodes = 50000;
@@ -446,7 +433,7 @@ TEST(IterativeDeepening, StatsInvariantsAndHistoryKillSwitch) {
 // engines run without a table whose feature is off: no table traffic or
 // duplicate prune without the transposition table, and no history bonus
 // without the history table.
-TEST(IterativeDeepening, DisabledTablesAreNeverBuilt) {
+TEST(SearchDriver, DisabledTablesAreNeverBuilt) {
   const TruthTable spec({0, 7, 6, 9, 4, 11, 10, 13, 8, 15, 14, 1, 12, 3, 2, 5});
   SynthesisOptions o;
   o.max_nodes = 50000;

@@ -167,10 +167,6 @@ int main(int argc, char** argv) {
             "disable the history heuristic (learned (target, factor-class)"
             " ordering bonus)",
             false)
-      .flag("--no-id", options.iterative_deepening,
-            "disable iterative deepening on the gate bound (single"
-            " full-depth pass)",
-            false)
       .number("--dense-threshold", options.dense_threshold, "N",
               "widest system (in variables) eligible for the word-parallel"
               " dense spectrum kernel (default 14, 0 = always sparse); see"
@@ -321,7 +317,7 @@ int main(int argc, char** argv) {
 
   try {
     // Observability: assemble the requested sinks (both --trace and
-    // --progress may be active at once) and the phase profile.
+    // --progress may be active at once).
     std::ofstream trace_out;
     std::unique_ptr<JsonlTraceSink> jsonl_sink;
     std::unique_ptr<ProgressTraceSink> progress_sink;
@@ -340,8 +336,6 @@ int main(int argc, char** argv) {
       multi_sink.add(progress_sink.get());
     }
     if (jsonl_sink || progress_sink) options.trace_sink = &multi_sink;
-    PhaseProfile profile;
-    if (!metrics_file.empty()) options.phase_profile = &profile;
 
     // The metrics stream opens before the run (not after, as the v1-only
     // code did) so heartbeat records can interleave with it; the per-run /
@@ -522,6 +516,12 @@ int main(int argc, char** argv) {
       }
       return finish(exit_code_for(br.status.code()));
     }
+
+    // The phase profile serves single-shot runs only: batch records carry
+    // no phases, and a --threads N batch's jobs would all write to this
+    // one unsynchronized profile.
+    PhaseProfile profile;
+    if (!metrics_file.empty()) options.phase_profile = &profile;
 
     Pprm spec;
     std::string input_name;
