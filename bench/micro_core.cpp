@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -256,6 +257,23 @@ void BM_Synthesize3Var(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Synthesize3Var);
+
+// BM_Synthesize3Var's search as rmrls-serve runs a cache miss: the whole
+// fallback cascade under a deadline with `use_watchdog` on. The 10 s
+// deadline never expires, so the gap to BM_Synthesize3Var is what a timed
+// call pays for its deadline alone.
+void BM_ResilientTimed3Var(benchmark::State& state) {
+  std::mt19937_64 rng(7);
+  const Pprm spec = pprm_of_truth_table(random_reversible_function(3, rng));
+  ResilienceOptions r;
+  r.search.max_nodes = 20000;
+  r.deadline = std::chrono::seconds(10);
+  r.use_watchdog = true;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(synthesize_resilient(spec, r));
+  }
+}
+BENCHMARK(BM_ResilientTimed3Var);
 
 // Five variables is where substitution dominates the search (the sparse
 // kernel's sort-and-merge grows with the term count while heap and
