@@ -4,7 +4,8 @@
 /// The paper's experiments bound effort with wall-clock limits (60 s /
 /// 180 s in Section V); the resilient driver makes such limits a hard
 /// contract: best-first, then the fallback cascade, all under one
-/// deadline enforced cooperatively and by the watchdog. This harness
+/// deadline, armed on the cascade's token and polled by every engine
+/// (docs/robustness.md). This harness
 /// measures how well the contract holds: for widths 15/20/25 and
 /// deadlines 10/50/100 ms it runs seeded random GT specs through
 /// synthesize_resilient and reports wall time, the worst overshoot, and
@@ -86,8 +87,8 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  std::cout << "\nOvershoot stays bounded by the per-candidate poll cadence"
-               " plus watchdog latency, independent of width; unsolved cells"
-               " return a structured budget-exhausted status, never hang.\n";
+  std::cout << "\nOvershoot stays bounded by the per-candidate poll cadence,"
+               " independent of width; unsolved cells return a structured"
+               " budget-exhausted status, never hang.\n";
   return 0;
 }

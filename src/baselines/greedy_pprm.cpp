@@ -12,9 +12,9 @@ SynthesisResult synthesize_greedy(const Pprm& spec,
                                   const SynthesisOptions& options) {
   using Clock = std::chrono::steady_clock;
   const auto start_time = Clock::now();
-  const bool timed = options.time_limit.count() > 0;
-  const auto deadline = start_time + options.time_limit;
   CancelToken* const cancel = options.cancel_token;
+  const auto deadline = run_deadline(cancel, start_time, options.time_limit);
+  const bool timed = deadline != Clock::time_point::max();
 
   SynthesisResult result;
   result.initial_terms = spec.term_count();

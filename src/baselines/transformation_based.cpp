@@ -54,8 +54,8 @@ Circuit synthesize_transformation_based(const TruthTable& spec,
   std::vector<std::uint64_t> image = spec.image();
   std::vector<Gate> out_gates;
   for (std::uint64_t i = 0; i < image.size(); ++i) {
-    if (cancel != nullptr && cancel->cancelled()) break;
     if (image[i] == i) continue;
+    if (cancel != nullptr && cancel->expired()) break;
     for (const Gate& g : steer(image[i], i)) {
       apply_output_side(image, g);
       out_gates.push_back(g);
@@ -84,8 +84,8 @@ Circuit synthesize_transformation_bidir(const TruthTable& spec,
   };
 
   for (std::uint64_t i = 0; i < image.size(); ++i) {
-    if (cancel != nullptr && cancel->cancelled()) break;
     if (image[i] == i) continue;
+    if (cancel != nullptr && cancel->expired()) break;
     const std::uint64_t y = image[i];
     const std::uint64_t x = inverse[i];
     if (gate_cost(y, i) <= gate_cost(x, i)) {

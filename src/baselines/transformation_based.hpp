@@ -17,9 +17,11 @@
 namespace rmrls {
 
 /// Basic (output-side only) transformation-based synthesis. When `cancel`
-/// is given it is polled once per table row; a cancelled run returns the
-/// incomplete cascade built so far, so callers must verify the result
-/// (rev/equivalence.hpp) before trusting it — see docs/robustness.md.
+/// is given, every row that needs gates first polls CancelToken::expired(),
+/// so the run stops once the token fires or its armed deadline passes; a
+/// stopped run returns the incomplete cascade built so far, so callers
+/// must verify the result (rev/equivalence.hpp) before trusting it — see
+/// docs/robustness.md.
 [[nodiscard]] Circuit synthesize_transformation_based(
     const TruthTable& spec, CancelToken* cancel = nullptr);
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -89,8 +89,8 @@ ResilienceOptions job_resilience(const BatchContext& ctx,
                                  std::uint64_t trace_id) {
   ResilienceOptions r = ctx.options->resilience;
   r.cancel_token = ctx.token;
-  // The batch owns the one Watchdog; per-job enforcement is cooperative
-  // against whatever batch time is left (docs/robustness.md).
+  // The batch token carries the batch deadline; a job arming its own
+  // deadline on it would move the deadline of every other job.
   r.use_watchdog = false;
   r.deadline = remaining_deadline(ctx);
   r.search.trace_id = trace_id;
@@ -177,7 +177,7 @@ void worker_loop(BatchContext& ctx) {
       ++ctx.stats.skipped;
       continue;
     }
-    if (ctx.token->cancelled()) {
+    if (ctx.token->expired()) {
       BatchJobOutcome& out = (*ctx.outcomes)[index];
       out.name = (*ctx.jobs)[index].name;
       out.status =
@@ -333,14 +333,14 @@ BatchResult run_batch(const std::vector<BatchJob>& jobs,
   }
 
   // Same token-adoption pattern as synthesize_resilient: the caller's
-  // token carries user cancellation, the batch Watchdog overlays the
-  // deadline reason, CancelToken latches whichever fires first.
+  // token carries user cancellation, and the batch deadline is armed on
+  // it for the length of the batch.
   CancelToken local_token;
   CancelToken* const token =
       options.cancel_token != nullptr ? options.cancel_token : &local_token;
-  std::unique_ptr<Watchdog> watchdog;
-  if (options.deadline.count() > 0 && options.use_watchdog) {
-    watchdog = std::make_unique<Watchdog>(*token, options.deadline);
+  std::optional<ScopedDeadline> armed;
+  if (options.deadline.count() > 0) {
+    armed.emplace(*token, start + options.deadline);
   }
 
   const std::size_t job_threads = std::min<std::size_t>(
@@ -383,10 +383,7 @@ BatchResult run_batch(const std::vector<BatchJob>& jobs,
     for (std::thread& w : workers) w.join();
   }
 
-  if (watchdog != nullptr) {
-    watchdog->disarm();
-    result.watchdog_fired = watchdog->fired();
-  }
+  result.watchdog_fired = armed.has_value() && token->deadline_passed();
   // Final flush regardless of flush_every: a clean exit leaves the ledger
   // complete even when periodic flushing was throttled.
   if (opts.checkpoint != nullptr) opts.checkpoint->flush();

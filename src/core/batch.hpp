@@ -6,9 +6,10 @@
 /// running many independent synthesis jobs concurrently, routing each
 /// through the canonical-orbit cache
 /// (core/synth_cache.hpp) so duplicate-heavy workloads synthesize each
-/// orbit once and relabel the rest. One CancelToken and one Watchdog span
-/// the whole batch (docs/robustness.md): a batch deadline or a SIGINT
-/// stops every in-flight job and marks the unstarted ones cancelled.
+/// orbit once and relabel the rest. One CancelToken spans the whole batch
+/// and carries the batch deadline (docs/robustness.md): a SIGINT stops
+/// every in-flight job, the deadline stops them at its time, and either
+/// fails the jobs not yet started.
 ///
 /// With a cache, a job synthesizes its spec's *canonical representative*
 /// (rev/canonical.hpp) so the cached circuit serves the entire orbit;
@@ -108,19 +109,18 @@ struct BatchStats {
 struct BatchOptions {
   /// Per-job cascade configuration. `resilience.deadline`,
   /// `resilience.use_watchdog` and `resilience.cancel_token` are
-  /// overridden per job: the batch owns the watchdog and token, and each
-  /// job's deadline is the batch time remaining at its start.
+  /// overridden per job: the batch owns the token and arms the batch
+  /// deadline on it, so no job arms it, and each job's deadline is the
+  /// batch time remaining at its start.
   ResilienceOptions resilience;
 
   /// Jobs run at once: min(total_threads, jobs) job threads, each running
   /// one single-threaded search at a time. 0 = one per hardware thread.
   int total_threads = 1;
 
-  /// Wall-clock budget of the *whole batch*; zero means none.
+  /// Wall-clock budget of the *whole batch*; zero means none. Armed on
+  /// the batch token for the length of run_batch.
   std::chrono::milliseconds deadline{0};
-
-  /// Arm one Watchdog for `deadline` over the whole batch.
-  bool use_watchdog = true;
 
   /// Optional caller-owned token (e.g. a SIGINT handler); adopted as the
   /// batch token so its user-reason cancellation reaches every job.
@@ -148,6 +148,7 @@ struct BatchResult {
   /// kOk iff every job succeeded; otherwise the first failing job's
   /// status in input order (the CLI exit code follows it).
   Status status;
+  /// True when the batch deadline had passed when the last job ended.
   bool watchdog_fired = false;
   std::chrono::microseconds elapsed{0};
 };

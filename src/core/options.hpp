@@ -161,9 +161,11 @@ struct SynthesisOptions {
 
   /// Cooperative cancellation (core/cancel.hpp, docs/robustness.md): when
   /// set, the engines poll this token from their expansion and candidate
-  /// loops and stop within one iteration of it firing. A deadline-reason
-  /// cancellation (Watchdog) reports TerminationReason::kTimeLimit, a user
-  /// one kCancelled. Null (the default) disables the polls entirely.
+  /// loops and stop within one iteration of it firing. A run also stops at
+  /// the token's armed deadline, if that comes before its own time_limit.
+  /// A deadline-reason cancellation or a passed deadline reports
+  /// TerminationReason::kTimeLimit, a user cancellation kCancelled. Null
+  /// (the default) disables the polls entirely.
   CancelToken* cancel_token = nullptr;
 
   /// Widest system (in variables) the engine may run on the dense
@@ -192,7 +194,7 @@ struct SynthesisOptions {
 enum class TerminationReason : std::uint8_t {
   kSolved,          ///< stopped by a solution (stop-at-first / identity)
   kNodeBudget,      ///< max_nodes expansions reached
-  kTimeLimit,       ///< wall-clock deadline passed (poll or Watchdog)
+  kTimeLimit,       ///< wall-clock deadline passed (limit or token)
   kQueueExhausted,  ///< queue (and restart seeds) ran dry
   kCancelled,       ///< the caller's CancelToken fired (user reason)
 };
@@ -245,8 +247,9 @@ struct SynthesisStats {
   /// the table itself is shared across a driver's passes.
   std::uint64_t tt_inserts = 0;
   std::uint64_t tt_evictions = 0;
-  /// Table generation after this run — the number of search passes (mod
-  /// 256) the shared table has served. Merged by maximum.
+  /// Table generation after this run: the number of times the driver
+  /// started a new pass on the shared table (mod 256), which is one fewer
+  /// than the number of search passes it served. Merged by maximum.
   std::uint64_t tt_generation = 0;
   /// Always 1: kept so the rmrls-metrics-v1 key `id_iterations` keeps its
   /// value until the schema retires it together with `workers`.
@@ -274,9 +277,9 @@ struct SynthesisStats {
   /// cancellation; deadline-reason cancellations report through
   /// TerminationReason::kTimeLimit instead (docs/robustness.md).
   bool cancelled = false;
-  /// True when a Watchdog enforced the wall-clock deadline for this run.
-  /// Set by the layer that owns the watchdog (synthesize_resilient, CLI),
-  /// not by the search itself.
+  /// True when a deadline armed on the run's token had passed when the
+  /// call ended. Set by the layer that arms it (synthesize_resilient,
+  /// run_batch), not by the search itself.
   bool watchdog_fired = false;
   std::chrono::microseconds elapsed{0};
 };

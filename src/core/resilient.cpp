@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -18,6 +18,15 @@ namespace rmrls {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Fraction of the deadline granted to the best-first attempt; the
+/// fallbacks share what is left on the wall clock.
+constexpr double kPrimaryShare = 0.7;
+
+/// Widest spec (in variables) the transformation-based fallback accepts:
+/// it materializes the full 2^n-row truth table, so it must be gated well
+/// below the search engines' 64-variable ceiling.
+constexpr int kTransformationMaxVars = 12;
 
 /// Combines the caller's search time limit with what the cascade deadline
 /// leaves: the smaller nonzero of the two.
@@ -39,16 +48,16 @@ ResilientResult resilient_impl(const Pprm& spec, const TruthTable* table,
   };
 
   // All engines poll one token. The caller's token (if any) is adopted
-  // directly — its user-reason cancellation must be distinguishable from
-  // the watchdog's deadline reason, and CancelToken already latches the
-  // first reason, so no chaining layer is needed.
+  // directly — its user-reason cancellation must stay distinguishable from
+  // the deadline, and CancelToken already latches the first reason, so no
+  // chaining layer is needed.
   CancelToken local_token;
   CancelToken* const token =
       options.cancel_token != nullptr ? options.cancel_token : &local_token;
   Telemetry* const tele = Telemetry::active();
-  std::unique_ptr<Watchdog> watchdog;
+  std::optional<ScopedDeadline> armed;
   if (timed && options.use_watchdog) {
-    watchdog = std::make_unique<Watchdog>(*token, options.deadline);
+    armed.emplace(*token, wall_start + options.deadline);
     if (tele != nullptr) tele->counter("resilient.watchdog_arms").inc();
   }
 
@@ -90,16 +99,15 @@ ResilientResult resilient_impl(const Pprm& spec, const TruthTable* table,
     }
   };
   const auto finish = [&](FallbackEngine engine) {
-    if (watchdog != nullptr) {
-      watchdog->disarm();
-      out.watchdog_fired = watchdog->fired();
-    }
     out.engine = engine;
-    out.result.stats.cancelled = user_cancelled();
-    out.result.stats.watchdog_fired = out.watchdog_fired;
     out.result.stats.elapsed =
         std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                               wall_start);
+    // The deadline armed on the token had passed when the call ended.
+    out.watchdog_fired =
+        armed.has_value() && out.result.stats.elapsed >= options.deadline;
+    out.result.stats.cancelled = user_cancelled();
+    out.result.stats.watchdog_fired = out.watchdog_fired;
     if (tele != nullptr) {
       if (out.watchdog_fired) {
         tele->counter("resilient.watchdog_fires").inc();
@@ -148,7 +156,7 @@ ResilientResult resilient_impl(const Pprm& spec, const TruthTable* table,
       const auto share = std::chrono::milliseconds(std::max<std::int64_t>(
           1, static_cast<std::int64_t>(
                  static_cast<double>(options.deadline.count()) *
-                 options.primary_share)));
+                 kPrimaryShare)));
       sopts.time_limit = combine_limits(options.search.time_limit, share);
     }
     SynthesisResult r = synthesize(spec, sopts);
@@ -177,11 +185,12 @@ ResilientResult resilient_impl(const Pprm& spec, const TruthTable* table,
   if (user_cancelled()) return finish(FallbackEngine::kNone);
 
   // Stage 3: transformation-based synthesis — constructive, so it cannot
-  // fail, but it materializes the full 2^n-row table; gate the width. A
-  // cancelled run returns an incomplete cascade, which the verification
+  // fail, but it materializes the full 2^n-row table; gate the width. It
+  // has no time limit: it stops when the token fires or its armed deadline
+  // passes, and returns an incomplete cascade, which the verification
   // below rejects.
   if (options.enable_transformation &&
-      spec.num_vars() <= options.transformation_max_vars &&
+      spec.num_vars() <= kTransformationMaxVars &&
       (!timed || remaining().count() > 0)) {
     try {
       const TruthTable tt = table != nullptr ? *table
@@ -193,11 +202,11 @@ ResilientResult resilient_impl(const Pprm& spec, const TruthTable* table,
         out.result.termination = TerminationReason::kSolved;
         return finish(FallbackEngine::kTransformationBased);
       }
-      out.result.termination = token->cancelled()
-                                   ? (token->reason() == CancelReason::kUser
-                                          ? TerminationReason::kCancelled
-                                          : TerminationReason::kTimeLimit)
-                                   : out.result.termination;
+      if (user_cancelled()) {
+        out.result.termination = TerminationReason::kCancelled;
+      } else if (token->expired()) {
+        out.result.termination = TerminationReason::kTimeLimit;
+      }
     } catch (const std::invalid_argument&) {
       // Spec not reconstructible into a table (too wide); skip the stage.
     }

@@ -1,5 +1,5 @@
 /// \file resilient.hpp
-/// \brief Resilient synthesis driver: deadline, watchdog, fallback cascade
+/// \brief Resilient synthesis driver: deadline and fallback cascade
 /// (docs/robustness.md).
 ///
 /// The best-first search is a heuristic: it can blow its budget or be
@@ -50,29 +50,25 @@ struct ResilienceOptions {
 
   /// Wall-clock budget of the *whole* cascade; zero means none (the
   /// cascade then only stops via the search's own budgets or the token).
+  /// The best-first and greedy stages keep it through their time limits.
   std::chrono::milliseconds deadline{0};
 
-  /// Arm a Watchdog thread (core/cancel.hpp) for `deadline`, so the limit
-  /// holds even if an engine wedges between cooperative polls. Off, the
-  /// deadline is still enforced cooperatively via per-engine time limits.
+  /// Arm `deadline` on the cascade's token for the length of the call
+  /// (core/cancel.hpp), so that every stage sees it, the
+  /// transformation-based one included, which has no time limit of its
+  /// own. Arming is for a caller that owns its token: an rmrls-serve
+  /// request arms it. A run_batch job must not, because its token is the
+  /// batch's, shared with every other job and armed with the batch
+  /// deadline.
   bool use_watchdog = true;
 
   /// Stage toggles of the cascade.
   bool enable_greedy = true;
   bool enable_transformation = true;
 
-  /// Widest spec (in variables) the transformation-based fallback accepts:
-  /// it materializes the full 2^n-row truth table, so it must be gated
-  /// well below the search engines' 64-variable ceiling.
-  int transformation_max_vars = 12;
-
-  /// Fraction of `deadline` granted to the best-first attempt; the
-  /// fallbacks share what is left on the wall clock.
-  double primary_share = 0.7;
-
   /// Optional caller-owned token to cancel the cascade from outside (e.g.
-  /// a SIGINT handler). The driver chains it with its own deadline
-  /// enforcement; first reason wins.
+  /// a SIGINT handler). The driver adopts it as the cascade's token; the
+  /// first cancel reason wins.
   CancelToken* cancel_token = nullptr;
 };
 
@@ -88,7 +84,8 @@ struct ResilientResult {
   /// True iff the returned circuit was re-checked against the spec with
   /// the exact PPRM equivalence check (rev/equivalence.hpp).
   bool verified = false;
-  /// True when the armed Watchdog (not a cooperative poll) ended the run.
+  /// True when this call armed `deadline` on its token (use_watchdog)
+  /// and the deadline had passed when the call ended.
   bool watchdog_fired = false;
 };
 

@@ -44,7 +44,7 @@ void BasicSearch<Rep>::init_telemetry() {
     tele_solutions_ = &t->counter("search.solutions");
     tele_queue_ = &t->gauge("search.queue_depth");
     tele_tt_ = &t->gauge("search.tt_entries");
-    tele_tt_hits_ = &t->gauge("search.tt_shard_hits");
+    tele_tt_hits_ = &t->gauge("search.tt_hits");
     tele_tt_evictions_ = &t->gauge("search.tt_evictions");
     tele_tt_generation_ = &t->gauge("search.tt_generation");
     tele_history_hits_ = &t->gauge("search.history_hits");
@@ -396,10 +396,8 @@ SynthesisResult BasicSearch<Rep>::run() {
   SynthesisResult result;
   result.initial_terms = initial_terms_;
   run_start_ = Clock::now();
-  if (options_.time_limit.count() > 0) {
-    deadline_ = run_start_ + options_.time_limit;
-    deadline_armed_ = true;
-  }
+  deadline_ = run_deadline(cancel_, run_start_, options_.time_limit);
+  deadline_armed_ = deadline_ != Clock::time_point::max();
   // Report the table-traffic delta of this run: the pass-spanning table
   // may already hold counters from earlier passes.
   if (tt_ != nullptr) tt_before_ = tt_->snapshot();

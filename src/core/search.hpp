@@ -198,8 +198,10 @@ class BasicSearch {
   TerminationReason termination_ = TerminationReason::kQueueExhausted;
 
   /// Resilience (core/cancel.hpp, docs/robustness.md): the wall-clock
-  /// deadline (armed only when SynthesisOptions::time_limit > 0) and the
-  /// caller's cancellation token, both polled by should_stop().
+  /// deadline and the caller's cancellation token, both polled by
+  /// should_stop(). run() fixes the deadline as run_deadline() of the
+  /// token and SynthesisOptions::time_limit, and arms it only when one of
+  /// the two applies.
   std::chrono::steady_clock::time_point deadline_{};
   bool deadline_armed_ = false;
   CancelToken* cancel_ = nullptr;

@@ -43,10 +43,8 @@ namespace rmrls {
 /// Verifies `circuit` against `spec` by exhaustive simulation.
 [[nodiscard]] bool implements(const Circuit& circuit, const TruthTable& spec);
 
-/// Verifies `circuit` against a PPRM `spec` of any width: exactly, by
-/// equivalent() (rev/equivalence.hpp), up to 16 lines; by seeded random
-/// sampling (plus low corner points) above. A width mismatch is false.
-[[nodiscard]] bool implements(const Circuit& circuit, const Pprm& spec,
-                              int samples = 4096);
+/// Verifies `circuit` against a PPRM `spec` of any width, exactly, by
+/// equivalent() (rev/equivalence.hpp). A width mismatch is false.
+[[nodiscard]] bool implements(const Circuit& circuit, const Pprm& spec);
 
 }  // namespace rmrls

@@ -245,11 +245,11 @@ class Telemetry {
 [[nodiscard]] std::uint64_t derive_trace_id(std::string_view name,
                                             std::uint64_t index);
 
-/// Background heartbeat emitter. Same cv-based lifecycle idiom as
-/// Watchdog (core/cancel.hpp): the thread sleeps on a condition variable
-/// for `interval`, emits one heartbeat line per wakeup, and stop() (or
-/// the destructor) joins it after emitting one final flush heartbeat —
-/// so even a run shorter than the interval leaves at least one record.
+/// Background heartbeat emitter. The thread sleeps on a condition
+/// variable for `interval`, emits one heartbeat line per wakeup, and
+/// stop() (or the destructor) joins it after emitting one final flush
+/// heartbeat — so even a run shorter than the interval leaves at least
+/// one record.
 class Snapshotter {
  public:
   Snapshotter(Telemetry& telemetry, std::chrono::milliseconds interval,

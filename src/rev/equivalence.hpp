@@ -10,8 +10,8 @@
 /// reverse gate substitution (Circuit::to_pprm), which needs no truth
 /// table, so the check stays exact at widths where truth tables are
 /// unthinkable (shift28's 30 lines, or the full 64 the cube encoding
-/// supports). Complements `implements()` (core/synthesizer.hpp), which
-/// samples inputs above 16 lines, with a check exact at every width.
+/// supports). `implements()` (core/synthesizer.hpp) checks a circuit
+/// against a PPRM spec with it.
 
 #pragma once
 

@@ -35,6 +35,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Per-session output buffer cap; a consumer slower than this is
+/// disconnected rather than allowed to pin daemon memory.
+constexpr std::size_t kMaxOutputBytes = std::size_t{8} << 20;
+
 std::string errno_text(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
@@ -461,7 +465,7 @@ int ServeDaemon::run() {
       const auto t0 = Clock::now();
       ResilienceOptions r = imp->opts->resilience;
       r.deadline = deadline;
-      r.use_watchdog = true;
+      r.use_watchdog = true;  // the request owns its token
       r.cancel_token = &job->token;
       r.search.trace_id = job->trace_id;
       const CachedSynthesisOutcome out = synthesize_cached(
@@ -748,7 +752,7 @@ int ServeDaemon::run() {
         to_close.push_back(sid);
         continue;
       }
-      if (s.outbuf.size() > options_.max_output_bytes) {
+      if (s.outbuf.size() > kMaxOutputBytes) {
         // Slow consumer: it cannot pin daemon memory (docs/serving.md).
         to_close.push_back(sid);
         continue;

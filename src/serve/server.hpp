@@ -11,10 +11,9 @@
 ///   * Bounded admission — the executor's queue has a hard cap; a full
 ///     queue sheds the request immediately with StatusCode::kUnavailable
 ///     (exit code 7 on the client) instead of queueing unboundedly.
-///   * Per-request deadlines — every submit gets a CancelToken and a
-///     Watchdog-backed deadline (min(request time_ms, max_deadline),
-///     defaulting to default_deadline), so one pathological spec cannot
-///     wedge a worker.
+///   * Per-request deadlines — every submit gets a CancelToken armed with
+///     its deadline (min(request time_ms, max_deadline), defaulting to
+///     default_deadline), so one pathological spec cannot wedge a worker.
 ///   * Disconnect == cancel — the poll loop cancels a session's in-flight
 ///     jobs the moment its socket reads EOF (within one poll interval),
 ///     so abandoned work stops consuming workers.
@@ -64,10 +63,6 @@ struct ServeOptions {
   std::chrono::milliseconds drain_deadline{5000};    ///< graceful-drain budget
   std::chrono::milliseconds heartbeat_interval{0};   ///< 0 = no heartbeats
   std::chrono::milliseconds poll_interval{50};       ///< poll(2) timeout
-
-  /// Per-session output buffer cap; a consumer slower than this is
-  /// disconnected rather than allowed to pin daemon memory.
-  std::size_t max_output_bytes = std::size_t{8} << 20;
 
   std::size_t cache_bytes = std::size_t{64} << 20;  ///< warm SynthCache budget
   std::string cache_dir;                            ///< optional on-disk store

@@ -121,9 +121,9 @@ TEST(Equivalence, SimulationMatchesReverseSubstitution) {
   }
 }
 
-// implements(Circuit, Pprm) is exact up to 16 lines: it must agree with
-// equivalent() on correct cascades and on cascades one gate off (one
-// appended, one replaced), and a width mismatch is false, not a throw.
+// implements(Circuit, Pprm) must agree with equivalent() on correct
+// cascades and on cascades one gate off (one appended, one replaced), and
+// a width mismatch is false, not a throw.
 TEST(Equivalence, ImplementsAgreesWithEquivalentUpToSixteenLines) {
   std::mt19937_64 rng(76);
   for (int n = 1; n <= 16; ++n) {
@@ -143,6 +143,26 @@ TEST(Equivalence, ImplementsAgreesWithEquivalentUpToSixteenLines) {
       }
       EXPECT_FALSE(implements(Circuit(n + 1), spec)) << "n=" << n;
     }
+  }
+}
+
+// A cascade one gate with n - 1 controls away from its spec differs from
+// it on two of the 2^n inputs, which input sampling almost never draws;
+// implements() rejects it above 16 lines too.
+TEST(Equivalence, ImplementsRejectsOneWideGateOffAboveSixteenLines) {
+  std::mt19937_64 rng(77);
+  for (const int n : {17, 20}) {
+    const Circuit base = random_circuit(n, 8, GateLibrary::kGT, rng);
+    const Pprm spec = base.to_pprm();
+    EXPECT_TRUE(implements(base, spec)) << "n=" << n;
+    const Cube all_lines = (Cube{1} << n) - 1;
+    for (int target = 0; target < n; ++target) {
+      Circuit wrong = base;
+      wrong.append(Gate(all_lines & ~cube_of_var(target), target));
+      EXPECT_FALSE(implements(wrong, spec))
+          << "n=" << n << " target=" << target;
+    }
+    EXPECT_FALSE(implements(Circuit(n + 1), spec)) << "n=" << n;
   }
 }
 

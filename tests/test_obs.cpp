@@ -6,6 +6,7 @@
 
 #include <random>
 #include <sstream>
+#include <vector>
 
 #include "core/synthesizer.hpp"
 #include "obs/json.hpp"
@@ -89,6 +90,26 @@ TEST(ObsTrace, EventsMatchCounters) {
     if (e.kind == TraceEventKind::kRunBegin) last = 0;
     EXPECT_GE(e.nodes_expanded, last);
     last = e.nodes_expanded;
+  }
+}
+
+// tt_generation counts the driver's new-pass bumps of the shared table:
+// one fewer than the search passes, each of which opens with kRunBegin.
+TEST(ObsTrace, TtGenerationIsOneFewerThanThePasses) {
+  std::mt19937_64 rng(23);
+  std::vector<TruthTable> specs = {fig1()};
+  for (int i = 0; i < 3; ++i) {
+    specs.push_back(random_reversible_function(4, rng));
+  }
+  for (const TruthTable& spec : specs) {
+    RecordingTraceSink sink;
+    SynthesisOptions options;
+    options.max_nodes = 20000;
+    options.trace_sink = &sink;
+    const SynthesisResult r = synthesize(spec, options);
+    const std::uint64_t passes = sink.count(TraceEventKind::kRunBegin);
+    EXPECT_GE(passes, 2u) << spec.to_string();  // not vacuous
+    EXPECT_EQ(r.stats.tt_generation + 1, passes) << spec.to_string();
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests for the resilience layer (docs/robustness.md): cooperative
-// cancellation, the watchdog, deadline behaviour of the engines, and the
-// synthesize_resilient fallback cascade. The acceptance case of the
+// cancellation, the token's deadline, deadline behaviour of the engines,
+// and the synthesize_resilient fallback cascade. The acceptance case of the
 // subsystem — a 100 ms deadline on a 20-variable spec returning promptly
 // with either a verified circuit or a structured budget status — lives in
 // DeadlineAcceptance below; bench/deadline_overshoot measures the
@@ -10,14 +10,17 @@
 
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "baselines/greedy_pprm.hpp"
+#include "baselines/transformation_based.hpp"
 #include "core/cancel.hpp"
 #include "core/resilient.hpp"
 #include "core/synthesizer.hpp"
 #include "rev/equivalence.hpp"
 #include "rev/pprm_transform.hpp"
 #include "rev/random.hpp"
+#include "thread_probe.hpp"
 
 namespace rmrls {
 namespace {
@@ -51,25 +54,37 @@ TEST(CancelToken, FirstReasonWins) {
   EXPECT_EQ(token.reason(), CancelReason::kNone);
 }
 
-TEST(WatchdogTest, FiresAfterDeadline) {
+TEST(CancelToken, DeadlineExpiresOnceItPasses) {
   CancelToken token;
-  Watchdog watchdog(token, milliseconds(10));
+  EXPECT_EQ(token.deadline(), Clock::time_point::max());
+  token.arm_deadline(Clock::now() + milliseconds(10));
   const auto give_up = Clock::now() + milliseconds(2000);
-  while (!token.cancelled() && Clock::now() < give_up) {
+  while (!token.expired() && Clock::now() < give_up) {
     std::this_thread::sleep_for(milliseconds(1));
   }
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_EQ(token.reason(), CancelReason::kDeadline);
-  EXPECT_TRUE(watchdog.fired());
+  EXPECT_TRUE(token.expired());
+  EXPECT_TRUE(token.deadline_passed());
+  // A passed deadline does not fire the token: a later user cancel still
+  // reports its own reason.
+  EXPECT_FALSE(token.cancelled());
+  token.cancel(CancelReason::kUser);
+  EXPECT_EQ(token.reason(), CancelReason::kUser);
 }
 
-TEST(WatchdogTest, DisarmPreventsFiring) {
+TEST(CancelToken, DisarmedDeadlineNeverExpires) {
   CancelToken token;
   {
-    Watchdog watchdog(token, milliseconds(10000));
-    watchdog.disarm();
-  }  // dtor joins; must not hang for 10 s
-  EXPECT_FALSE(token.cancelled());
+    const ScopedDeadline armed(token, Clock::now() - milliseconds(1));
+    EXPECT_TRUE(token.expired());
+  }
+  EXPECT_FALSE(token.expired());
+  EXPECT_EQ(token.deadline(), Clock::time_point::max());
+  token.arm_deadline(Clock::now() + milliseconds(10000));
+  token.disarm_deadline();
+  EXPECT_FALSE(token.expired());
+  token.arm_deadline(Clock::now() - milliseconds(1));
+  token.reset();
+  EXPECT_FALSE(token.expired());
 }
 
 TEST(Cancellation, PreCancelledSearchReturnsImmediately) {
@@ -95,6 +110,26 @@ TEST(Cancellation, DeadlineReasonReportsTimeLimit) {
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.termination, TerminationReason::kTimeLimit);
   EXPECT_FALSE(r.stats.cancelled);
+}
+
+TEST(Cancellation, ArmedDeadlineStopsEveryEngineAsATimeLimit) {
+  // The engines read the token's deadline even with no time limit of
+  // their own, and report it as a time limit, not a user cancel.
+  CancelToken token;
+  token.arm_deadline(Clock::now() - milliseconds(1));
+  SynthesisOptions options;
+  options.cancel_token = &token;
+  const SynthesisResult search = synthesize(fig1_pprm(), options);
+  EXPECT_FALSE(search.success);
+  EXPECT_EQ(search.termination, TerminationReason::kTimeLimit);
+  EXPECT_FALSE(search.stats.cancelled);
+  const SynthesisResult greedy = synthesize_greedy(fig1_pprm(), options);
+  EXPECT_FALSE(greedy.success);
+  EXPECT_EQ(greedy.termination, TerminationReason::kTimeLimit);
+  const TruthTable fig1({1, 0, 7, 2, 3, 4, 5, 6});
+  EXPECT_EQ(synthesize_transformation_based(fig1, &token).gate_count(), 0);
+  EXPECT_EQ(synthesize_transformation_bidir(fig1, &token).gate_count(), 0);
+  EXPECT_FALSE(token.cancelled());
 }
 
 TEST(Cancellation, GreedyHonorsToken) {
@@ -250,6 +285,81 @@ TEST(Resilient, DeadlineAcceptance) {
     EXPECT_EQ(rr.engine, FallbackEngine::kNone);
   }
   EXPECT_EQ(rr.result.stats.watchdog_fired, rr.watchdog_fired);
+}
+
+// A timed call with use_watchdog, as rmrls-serve runs every miss, arms
+// its deadline on the token and starts no thread of its own.
+TEST(Resilient, TimedCallStartsNoThread) {
+  ThreadsAtRunBegin probe;
+  ResilienceOptions options;
+  options.deadline = milliseconds(10000);
+  options.use_watchdog = true;
+  options.search.trace_sink = &probe;
+  const int before = process_threads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status";
+  const ResilientResult rr = synthesize_resilient(fig1_pprm(), options);
+  ASSERT_TRUE(rr.status.ok());
+  EXPECT_EQ(probe.threads, before);
+  EXPECT_FALSE(rr.watchdog_fired);
+}
+
+/// Records the token's deadline as each search pass begins.
+class DeadlineAtRunBegin final : public TraceSink {
+ public:
+  explicit DeadlineAtRunBegin(const CancelToken& token) : token_(token) {}
+  void on_event(const TraceEvent& event) override {
+    if (event.kind == TraceEventKind::kRunBegin) {
+      seen.push_back(token_.deadline());
+    }
+  }
+  std::vector<Clock::time_point> seen;
+
+ private:
+  const CancelToken& token_;
+};
+
+// use_watchdog arms the cascade deadline on the caller's token for the
+// length of the call, so every stage sees it, and disarms it on return;
+// `watchdog_fired` reports whether it had passed by then.
+TEST(Resilient, ArmsItsDeadlineForTheLengthOfTheCall) {
+  CancelToken token;
+  DeadlineAtRunBegin probe(token);
+  ResilienceOptions options;
+  options.cancel_token = &token;
+  options.deadline = milliseconds(10000);
+  options.search.trace_sink = &probe;
+  const auto t0 = Clock::now();
+  ResilientResult rr = synthesize_resilient(fig1_pprm(), options);
+  const auto t1 = Clock::now();
+  ASSERT_TRUE(rr.status.ok());
+  ASSERT_FALSE(probe.seen.empty());
+  for (const Clock::time_point at : probe.seen) {
+    EXPECT_GE(at, t0 + options.deadline);
+    EXPECT_LE(at, t1 + options.deadline);
+  }
+  EXPECT_EQ(token.deadline(), Clock::time_point::max());
+  EXPECT_FALSE(rr.watchdog_fired);
+
+  // A batch job's configuration: the call leaves the shared token alone.
+  probe.seen.clear();
+  options.use_watchdog = false;
+  rr = synthesize_resilient(fig1_pprm(), options);
+  ASSERT_FALSE(probe.seen.empty());
+  for (const Clock::time_point at : probe.seen) {
+    EXPECT_EQ(at, Clock::time_point::max());
+  }
+
+  // A deadline that passes during the call is reported as such.
+  options.use_watchdog = true;
+  options.deadline = milliseconds(1);
+  options.search.trace_sink = nullptr;
+  options.search.stop_at_first_solution = true;
+  options.search.max_nodes = 0;
+  rr = synthesize_resilient(wide_spec(20, 40), options);
+  EXPECT_EQ(rr.status.code(), StatusCode::kBudgetExhausted);
+  EXPECT_TRUE(rr.watchdog_fired);
+  EXPECT_TRUE(rr.result.stats.watchdog_fired);
+  EXPECT_EQ(token.deadline(), Clock::time_point::max());
 }
 
 TEST(Resilient, PartialCascadeSurvivesBudgetMiss) {

@@ -180,7 +180,7 @@ TEST(Implements, DetectsWrongCircuit) {
   EXPECT_FALSE(implements(Circuit(4), TruthTable::identity(3)));  // width
 }
 
-TEST(Implements, SampledCheckOnWidePprm) {
+TEST(Implements, ExactCheckOnWidePprm) {
   // An empty circuit implements the identity PPRM at any width.
   const Pprm wide = Pprm::identity(40);
   EXPECT_TRUE(implements(Circuit(40), wide));

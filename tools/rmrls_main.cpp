@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
   bool run_fredkinize = false;
   bool bidirectional = false;
   bool resilient_mode = false;
-  bool use_watchdog = true;
   bool emit_tfc = false;
   std::string tfc_file;
   std::string trace_file;
@@ -197,7 +196,7 @@ int main(int argc, char** argv) {
       .number("--threads", threads, "N",
               "jobs run at once in --batch mode (default 1; 0 = one per"
               " hardware thread); every search runs on one thread."
-              " --time-ms bounds the *whole batch* under one watchdog.",
+              " --time-ms bounds the *whole batch* with one deadline.",
               0);
   flags.section("Fleet scale-out (docs/fleet.md, --batch mode only):")
       .custom("--shard", "I/N",
@@ -224,11 +223,8 @@ int main(int argc, char** argv) {
       .flag("--resilient", resilient_mode,
             "fallback cascade: best-first, then greedy, then"
             " transformation-based; the winner is verified and labelled in"
-            " the metrics. With --time-ms the whole cascade shares the"
-            " wall-clock budget under a watchdog.")
-      .flag("--no-watchdog", use_watchdog,
-            "enforce --time-ms cooperatively only (no watchdog thread)",
-            false);
+            " the metrics. With --time-ms the whole cascade shares one"
+            " wall-clock deadline.");
   flags.section("Post-processing and output:")
       .flag("--templates", run_templates,
             "post-process with the template pass (single-shot runs only)")
@@ -421,7 +417,6 @@ int main(int argc, char** argv) {
       bopts.resilience.search.time_limit = std::chrono::milliseconds{0};
       bopts.total_threads = threads;
       bopts.deadline = options.time_limit;  // bounds the whole batch
-      bopts.use_watchdog = use_watchdog;
       bopts.cancel_token = &g_cancel;
       if (canonical_cap >= 0) bopts.canonical.max_vars = canonical_cap;
       if (checkpoint.has_value()) bopts.checkpoint = &*checkpoint;
@@ -632,7 +627,6 @@ int main(int argc, char** argv) {
       ropts.search = options;
       ropts.search.time_limit = std::chrono::milliseconds{0};
       ropts.deadline = options.time_limit;  // the cascade owns the clock
-      ropts.use_watchdog = use_watchdog;
       ropts.cancel_token = &g_cancel;
       if (bidirectional) {
         std::cerr << "note: --resilient runs the forward cascade;"
@@ -646,22 +640,12 @@ int main(int argc, char** argv) {
       verified = rr.verified;
       run_status = rr.status;
     } else if (!cache_hit) {
-      // The watchdog backstops --time-ms even if a pass wedges between
-      // cooperative deadline polls.
-      std::unique_ptr<Watchdog> watchdog;
-      if (use_watchdog && options.time_limit.count() > 0) {
-        watchdog = std::make_unique<Watchdog>(g_cancel, options.time_limit);
-      }
       result = bidirectional && table_spec
                    ? synthesize_bidirectional(*table_spec, options)
                    : synthesize(spec, options);
       if (bidirectional && !table_spec) {
         std::cerr << "note: --bidir needs an explicit permutation spec;"
                      " running forward only\n";
-      }
-      if (watchdog != nullptr) {
-        watchdog->disarm();
-        result.stats.watchdog_fired = watchdog->fired();
       }
     }
     if (cache_enabled && !cache_hit && result.success) {
