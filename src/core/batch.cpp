@@ -384,8 +384,8 @@ BatchResult run_batch(const std::vector<BatchJob>& jobs,
   }
 
   result.watchdog_fired = armed.has_value() && token->deadline_passed();
-  // Final flush regardless of flush_every: a clean exit leaves the ledger
-  // complete even when periodic flushing was throttled.
+  // Final flush: concurrent marks can rename their snapshots out of order,
+  // so one write after the workers join leaves the ledger complete.
   if (opts.checkpoint != nullptr) opts.checkpoint->flush();
   result.stats = ctx.stats;
   result.stats.jobs = jobs.size();

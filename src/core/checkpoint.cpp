@@ -65,16 +65,11 @@ std::size_t BatchCheckpoint::completed_count() const {
 }
 
 void BatchCheckpoint::mark(const std::string& id) {
-  bool do_flush = false;
   {
     std::lock_guard<std::mutex> lock(*m_);
     if (!done_.insert(id).second) return;
-    if (flush_every_ > 0 && ++unflushed_ >= flush_every_) {
-      unflushed_ = 0;
-      do_flush = true;
-    }
   }
-  if (do_flush) flush();
+  flush();
 }
 
 bool BatchCheckpoint::flush() {

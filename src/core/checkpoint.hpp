@@ -17,7 +17,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -43,9 +42,10 @@ class BatchCheckpoint {
 
   [[nodiscard]] std::size_t completed_count() const;
 
-  /// Records one completed job. Thread-safe (the batch workers call it
-  /// concurrently); flushes to disk automatically every `flush_every`
-  /// newly-marked jobs.
+  /// Records one completed job and, when it is new, flushes the file.
+  /// Thread-safe (the batch workers call it concurrently). The rewrite is
+  /// a few KiB of text at realistic corpus sizes, so every job is
+  /// crash-safe the moment it is marked.
   void mark(const std::string& id);
 
   /// Atomically rewrites the file (tmp+rename) with every id marked so
@@ -53,17 +53,10 @@ class BatchCheckpoint {
   /// unaffected either way, so a later flush retries the full state.
   bool flush();
 
-  /// How many mark() calls between automatic flushes (default 1: maximal
-  /// crash-safety; the rewrite is a few KiB of text at realistic corpus
-  /// sizes). 0 disables automatic flushing entirely.
-  void set_flush_every(std::uint64_t n) { flush_every_ = n; }
-
  private:
   explicit BatchCheckpoint(std::string path) : path_(std::move(path)) {}
 
   std::string path_;
-  std::uint64_t flush_every_ = 1;
-  std::uint64_t unflushed_ = 0;
   // Behind unique_ptr so the class stays movable (Result<BatchCheckpoint>).
   std::unique_ptr<std::mutex> m_ = std::make_unique<std::mutex>();
   std::unordered_set<std::string> done_;

@@ -12,8 +12,6 @@ namespace rmrls {
 class TraceSink;      // obs/trace.hpp
 struct PhaseProfile;  // obs/phase_profile.hpp
 class CancelToken;    // core/cancel.hpp
-class HistoryTable;   // core/history.hpp
-class TranspositionTable;  // core/transposition.hpp
 
 /// Options controlling the RMRLS best-first search. Defaults reproduce the
 /// paper's configuration: priority weights (0.3, 0.6, 0.1), both classes of
@@ -82,14 +80,18 @@ struct SynthesisOptions {
   /// 0 = unlimited.
   int max_gates = 0;
 
-  /// Bound on queued candidates; further pushes are dropped (and counted)
-  /// once the queue is full. Mirrors the paper's memory ceiling.
+  /// Bound on queued candidates, in entries, not bytes: further pushes are
+  /// dropped (counted as dropped_queue_full) once the queue is full. It
+  /// bounds the queue alone, not the search's memory: a dropped child has
+  /// already been materialized, entered in the transposition table and
+  /// given a node-arena record, and the arena never shrinks.
   std::size_t max_queue = std::size_t{1} << 20;
 
   /// Our extension (not in the paper, ablated in bench/ablation): skip
   /// states whose PPRM hash has been enqueued before. Many substitution
   /// orders reach the same expansion; without deduplication those copies
-  /// drown the queue on 5-variable functions.
+  /// drown the queue on 5-variable functions. synthesize() builds one
+  /// table per call, and every pass of the call dedups against it.
   bool use_transposition_table = true;
 
   /// Memory ceiling of the bounded transposition table in megabytes
@@ -103,27 +105,12 @@ struct SynthesisOptions {
   /// ceiling.
   int tt_mb = 64;
 
-  /// The transposition table the engines dedup against (non-owning, like
-  /// trace_sink). synthesize() builds one per call from tt_mb when
-  /// use_transposition_table is set, and installs it here so all the
-  /// call's passes share it (the opening pass, the broad-scope retry and
-  /// the refinement reruns) — the driver bumps its generation between
-  /// passes, and the table keeps the size it has grown to across them.
-  /// synthesize() overwrites a caller's value; null means the engines run
-  /// without deduplication.
-  TranspositionTable* tt = nullptr;
-
   /// History-guided ordering (core/history.hpp): blend each candidate's
   /// (target, factor-class) success score into eq. (4) as a small bonus
-  /// (core/search.cpp kHistoryWeight). false (`--no-history`) restores
-  /// the paper-exact ordering.
+  /// (core/search.cpp kHistoryWeight). synthesize() builds one table per
+  /// call, so its passes share what they learn. false (`--no-history`)
+  /// restores the paper-exact ordering.
   bool use_history = true;
-
-  /// The history table the engines learn into and order by (non-owning).
-  /// synthesize() builds one per call when use_history is set and
-  /// installs it here, so its passes share learned preferences; it
-  /// overwrites a caller's value. Null means no history ordering.
-  HistoryTable* history = nullptr;
 
   /// Ablation variant of eq. (4): use cumulative terms eliminated since the
   /// root divided by depth, instead of the per-stage elimination the

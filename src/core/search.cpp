@@ -23,13 +23,14 @@ constexpr std::uint32_t kProgressReward = 4;
 }
 
 template <class Rep>
-BasicSearch<Rep>::BasicSearch(Rep start, SynthesisOptions options)
+BasicSearch<Rep>::BasicSearch(Rep start, SynthesisOptions options,
+                              TranspositionTable* tt, HistoryTable* history)
     : start_(std::move(start)),
       options_(options),
       num_vars_(start_.num_vars()),
       initial_terms_(start_.term_count()),
-      tt_(options.tt),
-      history_(options.history),
+      tt_(tt),
+      history_(history),
       cancel_(options.cancel_token),
       sink_(options.trace_sink),
       profile_(options.phase_profile) {

@@ -38,13 +38,17 @@ bool pick_dense(const Pprm& spec, const SynthesisOptions& options) {
 /// representation of the spec — every kernel expands the same tree and
 /// emits the same circuit, so the choice only affects throughput (and the
 /// dense_kernel stats flag). A dense pass at n <= 6 runs on one-word
-/// states, a wider one on multi-word bitsets.
-SynthesisResult run_search(const Pprm& spec, const SynthesisOptions& options) {
-  if (!pick_dense(spec, options)) return Search(spec, options).run();
+/// states, a wider one on multi-word bitsets. `tt` and `history` are the
+/// call's pass-spanning tables, null when their feature is off.
+SynthesisResult run_search(const Pprm& spec, const SynthesisOptions& options,
+                           TranspositionTable* tt, HistoryTable* history) {
+  if (!pick_dense(spec, options)) {
+    return Search(spec, options, tt, history).run();
+  }
   SynthesisResult r =
       spec.num_vars() <= WordPprm::kMaxVariables
-          ? WordSearch(WordPprm(spec), options).run()
-          : DenseSearch(DensePprm(spec), options).run();
+          ? WordSearch(WordPprm(spec), options, tt, history).run()
+          : DenseSearch(DensePprm(spec), options, tt, history).run();
   r.stats.dense_kernel = true;
   return r;
 }
@@ -68,8 +72,8 @@ SynthesisResult synthesize(const Pprm& spec, const SynthesisOptions& options) {
   // Pass-spanning search state (the chess-engine loop, docs/search_tables.md):
   // one bounded transposition table and one history table serve every pass
   // of this call — the opening pass, the broad-scope retry and the
-  // refinement reruns. This is the only place either table is built; the
-  // engines use what `base` points at, and a null pointer turns the
+  // refinement reruns. This is the only place either table is built;
+  // search() hands both to each pass's engine, and a null table turns its
   // feature off. next_pass() bumps the table generation (old entries stop
   // pruning and become preferred eviction victims) and decays the history
   // scores between passes.
@@ -79,21 +83,19 @@ SynthesisResult synthesize(const Pprm& spec, const SynthesisOptions& options) {
   }
   std::unique_ptr<HistoryTable> history;
   if (options.use_history) history = std::make_unique<HistoryTable>();
-  SynthesisOptions base = options;
-  base.tt = tt.get();
-  base.history = history.get();
-  const auto next_pass = [&base]() {
-    if (base.tt != nullptr) base.tt->new_generation();
-    if (base.history != nullptr) base.history->decay();
+  const auto search = [&](const SynthesisOptions& pass) {
+    return run_search(spec, pass, tt.get(), history.get());
+  };
+  const auto next_pass = [&]() {
+    if (tt != nullptr) tt->new_generation();
+    if (history != nullptr) history->decay();
   };
   // "The previous iteration's circuit seeds the next iteration's move
   // ordering": after the inter-pass decay, re-reward the best circuit's
   // gates so the next pass tries their (target, factor-class) cells first.
-  const auto seed_history = [&base](const Circuit& c) {
-    if (base.history == nullptr) return;
-    for (const Gate& g : c.gates()) {
-      base.history->reward(g.target, g.controls, 64);
-    }
+  const auto seed_history = [&](const Circuit& c) {
+    if (history == nullptr) return;
+    for (const Gate& g : c.gates()) history->reward(g.target, g.controls, 64);
   };
 
   const bool refine =
@@ -131,22 +133,22 @@ SynthesisResult synthesize(const Pprm& spec, const SynthesisOptions& options) {
     return true;
   };
 
-  SynthesisOptions first = base;
+  SynthesisOptions first = options;
   if (!budget(first, refine)) return result;
-  result = run_search(spec, first);
+  result = search(first);
   if (!refine) return result;
   // A user cancellation ends the whole driver, never just the pass.
   if (result.termination == TerminationReason::kCancelled) return result;
-  SynthesisOptions scope = base;  // options for the refinement reruns
+  SynthesisOptions scope = options;  // options for the refinement reruns
   if (!result.success) {
     // The opening pass found nothing: spend the rest of the budget on one
     // attempt with the broad exemption scope, which reaches functions the
     // quality-tuned scope provably cannot.
-    SynthesisOptions rest = base;
+    SynthesisOptions rest = options;
     rest.exempt_scope = SynthesisOptions::ExemptScope::kAny;
     if (!budget(rest, false)) return result;
     next_pass();
-    SynthesisResult retry = run_search(spec, rest);
+    SynthesisResult retry = search(rest);
     if (retry.success) {
       retry.stats.nodes_at_best += result.stats.nodes_expanded;
     }
@@ -167,7 +169,7 @@ SynthesisResult synthesize(const Pprm& spec, const SynthesisOptions& options) {
     next_pass();
     seed_history(result.circuit);
     const std::uint64_t nodes_before = result.stats.nodes_expanded;
-    SynthesisResult next = run_search(spec, tighter);
+    SynthesisResult next = search(tighter);
     accumulate_stats(result.stats, next.stats);
     // The last pass executed is why the overall synthesis stopped looking.
     result.termination = next.termination;

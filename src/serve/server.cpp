@@ -24,6 +24,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
+#include "rev/canonical.hpp"
 #include "rev/quantum_cost.hpp"
 #include "serve/executor.hpp"
 #include "serve/frame.hpp"
@@ -469,7 +470,7 @@ int ServeDaemon::run() {
       r.cancel_token = &job->token;
       r.search.trace_id = job->trace_id;
       const CachedSynthesisOutcome out = synthesize_cached(
-          spec, imp->cache.get(), imp->opts->canonical, r);
+          spec, imp->cache.get(), CanonicalOptions{}, r);
       const auto elapsed_us = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                 t0)

@@ -43,7 +43,6 @@
 #include "core/resilient.hpp"
 #include "core/status.hpp"
 #include "core/synth_cache.hpp"
-#include "rev/canonical.hpp"
 
 namespace rmrls {
 
@@ -67,9 +66,9 @@ struct ServeOptions {
   std::size_t cache_bytes = std::size_t{64} << 20;  ///< warm SynthCache budget
   std::string cache_dir;                            ///< optional on-disk store
 
-  CanonicalOptions canonical;
   /// Per-request cascade base. deadline / cancel_token / search.trace_id
-  /// are overridden per job.
+  /// are overridden per job. Specs canonicalize at the CanonicalOptions
+  /// defaults, as `rmrls --batch` does without --canonical-cap.
   ResilienceOptions resilience;
 
   /// JSONL sink for per-job rmrls-metrics-v1 records and heartbeats;

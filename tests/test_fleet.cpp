@@ -259,8 +259,7 @@ SynthCacheOptions dir_options(const fs::path& dir) {
 
 TEST(Lease, SecondInstanceWaitsAndAdoptsPublishedCircuit) {
   const fs::path dir = fresh_dir("lease_adopt");
-  SynthCacheOptions options = dir_options(dir);
-  options.lease_wait = std::chrono::milliseconds(5000);
+  const SynthCacheOptions options = dir_options(dir);
   SynthCache a(options);
   SynthCache b(options);
   const std::uint64_t key = 0x2a;
@@ -291,12 +290,10 @@ TEST(Lease, SecondInstanceWaitsAndAdoptsPublishedCircuit) {
 TEST(Lease, TimeoutFallsThroughToLeaselessLead) {
   const fs::path dir = fresh_dir("lease_timeout");
   // A lease held by a process that is alive (fresh mtime) but slow: the
-  // waiter gives up after lease_wait and synthesizes anyway — duplicate
-  // work, never a wedge.
+  // waiter gives up after the 3 s lease wait and synthesizes anyway —
+  // duplicate work, never a wedge.
   { std::ofstream(dir / "0000000000000007.lease") << "999999"; }
-  SynthCacheOptions options = dir_options(dir);
-  options.lease_wait = std::chrono::milliseconds(60);
-  SynthCache cache(options);
+  SynthCache cache(dir_options(dir));
   const SynthCache::Acquisition acq = cache.acquire(7);
   EXPECT_EQ(acq.outcome, SynthCache::Outcome::kLead);
   EXPECT_EQ(cache.stats().lease_timeouts, 1u);
@@ -305,18 +302,14 @@ TEST(Lease, TimeoutFallsThroughToLeaselessLead) {
 
 TEST(Lease, StaleLeaseFromDeadProcessIsStolen) {
   const fs::path dir = fresh_dir("lease_stale");
+  // Plant the lease after construction, whose gc_disk() would sweep a
+  // stale one first: this test wants the acquire path itself to steal it.
+  SynthCache cache(dir_options(dir));
   const fs::path lease = dir / "0000000000000009.lease";
   { std::ofstream(lease) << "999999"; }
-  // Backdate the lease far past any plausible staleness threshold.
+  // Backdate the lease past the 120 s staleness threshold.
   fs::last_write_time(lease,
                       fs::last_write_time(lease) - std::chrono::hours(2));
-  SynthCacheOptions options = dir_options(dir);
-  options.lease_wait = std::chrono::milliseconds(5000);
-  options.lease_stale = std::chrono::milliseconds(500);
-  // Keep construction-time gc_disk() from sweeping the stale lease first:
-  // this test wants the acquire path itself to steal it.
-  options.disk_gc_every = 0;
-  SynthCache cache(options);
   const SynthCache::Acquisition acq = cache.acquire(9);
   EXPECT_EQ(acq.outcome, SynthCache::Outcome::kLead);
   EXPECT_GE(cache.stats().lease_waits, 1u);
@@ -331,9 +324,7 @@ TEST(Lease, StaleLeaseFromDeadProcessIsStolen) {
 
 TEST(DiskGc, EnforcesByteBudgetOldestFirst) {
   const fs::path dir = fresh_dir("gc_budget");
-  SynthCacheOptions fill = dir_options(dir);
-  fill.cross_process_lease = false;
-  SynthCache writer(fill);
+  SynthCache writer(dir_options(dir));
   std::mt19937_64 rng(5);
   for (std::uint64_t key = 1; key <= 6; ++key) {
     const SynthCache::Acquisition acq = writer.acquire(key);
@@ -369,9 +360,7 @@ TEST(DiskGc, SweepsStaleLeaseAndTmpLitter) {
       fs::last_write_time(lease) - std::chrono::hours(2);
   fs::last_write_time(lease, old);
   fs::last_write_time(tmp, old);
-  SynthCacheOptions options = dir_options(dir);
-  options.lease_stale = std::chrono::milliseconds(500);
-  SynthCache cache(options);  // construction runs gc_disk()
+  SynthCache cache(dir_options(dir));  // construction runs gc_disk()
   EXPECT_FALSE(fs::exists(lease));
   EXPECT_FALSE(fs::exists(tmp));
 }
@@ -384,8 +373,7 @@ TEST(Lease, TwoInstancesRacingOverSharedDirStayConsistent) {
   const fs::path dir = fresh_dir("lease_race");
   std::vector<BatchJob> jobs = corpus_jobs(10, 0.5, 17);
   assign_job_ids(jobs);
-  SynthCacheOptions options = dir_options(dir);
-  options.lease_wait = std::chrono::milliseconds(10000);
+  const SynthCacheOptions options = dir_options(dir);
 
   BatchResult results[2];
   std::thread shards[2];

@@ -51,16 +51,20 @@ TEST(SynthCache, InsertLookupRoundTrip) {
   EXPECT_EQ(cache.entry_count(), 1u);
 }
 
+// Keys below 2^56 all sit in shard 0 (a key's top byte picks its shard),
+// so these tests run on one LRU list holding an eighth of the budget.
+constexpr std::size_t kShards = 8;
+
 TEST(SynthCache, ByteBudgetEvictsLeastRecentlyUsed) {
+  const std::size_t share = 2000;  // a handful of toy circuits
   SynthCacheOptions options;
-  options.shards = 1;           // deterministic: one LRU list
-  options.byte_budget = 2000;   // a handful of toy circuits
+  options.byte_budget = kShards * share;
   SynthCache cache(options);
   const int kKeys = 64;
   for (int k = 0; k < kKeys; ++k) cache.insert(k, toy_circuit(4, k));
   EXPECT_GT(cache.stats().evictions, 0u);
   EXPECT_LT(cache.entry_count(), static_cast<std::size_t>(kKeys));
-  EXPECT_LE(cache.bytes_used(), options.byte_budget);
+  EXPECT_LE(cache.bytes_used(), share);
   // The most recent key must have survived; the oldest must be gone.
   EXPECT_TRUE(cache.lookup(kKeys - 1).has_value());
   EXPECT_FALSE(cache.lookup(0).has_value());
@@ -68,8 +72,7 @@ TEST(SynthCache, ByteBudgetEvictsLeastRecentlyUsed) {
 
 TEST(SynthCache, OversizedEntryStillInserts) {
   SynthCacheOptions options;
-  options.shards = 1;
-  options.byte_budget = 1;  // below any single entry's cost
+  options.byte_budget = kShards;  // one byte a shard, below any entry's cost
   SynthCache cache(options);
   cache.insert(7, toy_circuit(4, 7));
   // The freshest entry is exempt from eviction, so the cache still serves.

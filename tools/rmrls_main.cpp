@@ -152,9 +152,10 @@ int main(int argc, char** argv) {
       .number("--restart", options.restart_interval, "N",
               "restart interval in expansions (0 = off)")
       .number("--queue", options.max_queue, "N",
-              "queued-candidate cap (default 2^20); with --tt-mb this bounds"
-              " the search's resident memory on long runs (overflow counts"
-              " dropped_queue_full)",
+              "queued-candidate cap in entries, not bytes (default 2^20);"
+              " overflow is dropped and counts dropped_queue_full. It bounds"
+              " the queue only: neither it nor --tt-mb bounds the node arena"
+              " or the children a full queue drops",
               1)
       .number("--tt-mb", options.tt_mb, "N",
               "transposition-table memory ceiling in MiB (default 64); the"
@@ -171,14 +172,10 @@ int main(int argc, char** argv) {
               " dense spectrum kernel (default 14, 0 = always sparse); see"
               " docs/dense_pprm.md",
               0)
-      .flag("--tt", options.use_transposition_table,
-            "transposition table on (the default)")
       .flag("--no-tt", options.use_transposition_table,
             "transposition table off", false)
       .flag("--cumul", options.cumulative_elim_priority,
-            "cumulative elimination priority")
-      .flag("--stage-elim", options.cumulative_elim_priority,
-            "per-stage elimination priority (the default)", false);
+            "cumulative elimination priority (default: per stage)");
   flags.section("Caching and batch throughput (docs/caching.md):")
       .number("--cache-mb", cache_mb, "N",
               "in-memory orbit-cache budget in MiB (0 = off, not allowed"
