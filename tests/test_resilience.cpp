@@ -200,6 +200,67 @@ TEST(Resilient, PrimaryStageMatchesSynthesize) {
   EXPECT_GT(direct.stats.history_hits, 0u);
 }
 
+// A deadline that never comes changes nothing. A cascade armed as
+// rmrls-serve arms every miss (use_watchdog, here 10 s) expands the same
+// tree as an untimed synthesize() and returns the same circuit, on each
+// of the three kernels: one-word states, multi-word dense states and the
+// sparse cube vectors.
+TEST(Resilient, FarDeadlineMatchesUntimedSynthesize) {
+  struct Case {
+    const char* name;
+    Pprm spec;
+    int dense_threshold;
+  };
+  const Case cases[] = {
+      {"one-word n=6", wide_spec(6, 6), SynthesisOptions{}.dense_threshold},
+      {"multi-word n=8", wide_spec(8, 8), SynthesisOptions{}.dense_threshold},
+      {"sparse n=5", wide_spec(5, 6), 0},
+  };
+  for (const Case& c : cases) {
+    ResilienceOptions options;
+    options.search.max_nodes = 20000;
+    options.search.dense_threshold = c.dense_threshold;
+    options.deadline = milliseconds(10000);
+    options.use_watchdog = true;
+    const SynthesisResult direct = synthesize(c.spec, options.search);
+    const ResilientResult rr = synthesize_resilient(c.spec, options);
+    ASSERT_TRUE(direct.success) << c.name;
+    ASSERT_EQ(rr.engine, FallbackEngine::kBestFirst) << c.name;
+    EXPECT_FALSE(rr.watchdog_fired) << c.name;
+    EXPECT_EQ(rr.result.circuit.to_string(), direct.circuit.to_string())
+        << c.name;
+    EXPECT_EQ(rr.result.stats.nodes_expanded, direct.stats.nodes_expanded)
+        << c.name;
+    EXPECT_EQ(rr.result.stats.tt_inserts, direct.stats.tt_inserts) << c.name;
+    EXPECT_EQ(rr.result.stats.history_hits, direct.stats.history_hits)
+        << c.name;
+    EXPECT_EQ(rr.result.stats.dense_kernel, c.dense_threshold > 0) << c.name;
+    // Enough nodes that the stop poll ran many times.
+    EXPECT_GT(direct.stats.nodes_expanded, 1000u) << c.name;
+  }
+
+  // Greedy, the cascade's second stage, under a far time limit of its own.
+  // It does not solve this spec, so it runs to its step cap.
+  const Pprm wide = wide_spec(10, 12);
+  SynthesisOptions untimed;
+  untimed.max_gates = 512;
+  SynthesisOptions timed = untimed;
+  timed.time_limit = milliseconds(10000);
+  const SynthesisResult untimed_greedy = synthesize_greedy(wide, untimed);
+  const SynthesisResult timed_greedy = synthesize_greedy(wide, timed);
+  EXPECT_EQ(timed_greedy.success, untimed_greedy.success);
+  EXPECT_EQ(timed_greedy.termination, untimed_greedy.termination);
+  EXPECT_EQ(timed_greedy.circuit.to_string(),
+            untimed_greedy.circuit.to_string());
+  EXPECT_EQ(timed_greedy.partial.to_string(),
+            untimed_greedy.partial.to_string());
+  EXPECT_EQ(timed_greedy.stats.nodes_expanded,
+            untimed_greedy.stats.nodes_expanded);
+  EXPECT_EQ(timed_greedy.stats.children_created,
+            untimed_greedy.stats.children_created);
+  EXPECT_GT(untimed_greedy.stats.nodes_expanded, 1u);
+}
+
 // A dense search that wins stage 1 ran on one kernel throughout: the
 // cascade reports its stats as they are, with no representation switch.
 TEST(Resilient, DenseWinReportsNoRepresentationSwitch) {
