@@ -12,9 +12,6 @@ SynthesisResult synthesize_greedy(const Pprm& spec,
                                   const SynthesisOptions& options) {
   using Clock = std::chrono::steady_clock;
   const auto start_time = Clock::now();
-  CancelToken* const cancel = options.cancel_token;
-  const auto deadline = run_deadline(cancel, start_time, options.time_limit);
-  const bool timed = deadline != Clock::time_point::max();
 
   SynthesisResult result;
   result.initial_terms = spec.term_count();
@@ -25,41 +22,25 @@ SynthesisResult synthesize_greedy(const Pprm& spec,
   bool have_previous = false;
 
   // Greedy is the anytime fallback of the resilience cascade
-  // (docs/robustness.md): it honors the same cooperative stop sources as
-  // the search engine (cancellation token, wall-clock limit), polling per
-  // candidate so overshoot stays bounded by one substitution even on wide
-  // systems.
-  bool stopped = false;
-  TerminationReason stop_reason = TerminationReason::kTimeLimit;
-  const auto should_stop = [&] {
-    if (stopped) return true;
-    if (cancel != nullptr && cancel->cancelled()) {
-      stopped = true;
-      stop_reason = cancel->reason() == CancelReason::kDeadline
-                        ? TerminationReason::kTimeLimit
-                        : TerminationReason::kCancelled;
-      return true;
-    }
-    if (timed && Clock::now() >= deadline) {
-      stopped = true;
-      stop_reason = TerminationReason::kTimeLimit;
-      return true;
-    }
-    return false;
-  };
+  // (docs/robustness.md): it shares the search engine's stop poll
+  // (cancellation token, wall-clock limit), polled per step and, charged
+  // with the system's term count, per candidate, so overshoot stays
+  // within one substitution even on wide systems.
+  StopPoll poll(options.cancel_token, start_time, options.time_limit);
 
   while (!state.is_identity() && circuit.gate_count() < max_gates &&
-         !should_stop()) {
+         !poll.stop()) {
     const std::vector<Candidate> candidates = enumerate_candidates(
         state, options, have_previous ? &previous : nullptr);
     const int depth = circuit.gate_count() + 1;
+    const int terms = state.term_count();
 
     bool found = false;
     Candidate best{};
     Pprm best_state;
     double best_priority = 0.0;
     for (const Candidate& cand : candidates) {
-      if (should_stop()) break;
+      if (poll.stop(terms)) break;
       Pprm next = state;
       const int delta = next.substitute(cand.target, cand.factor);
       ++result.stats.children_created;
@@ -79,11 +60,7 @@ SynthesisResult synthesize_greedy(const Pprm& spec,
         best_priority = priority;
       }
     }
-    if (stopped) break;
-    if (!found) {
-      stop_reason = TerminationReason::kQueueExhausted;  // stuck
-      break;
-    }
+    if (poll.stopped() || !found) break;  // stopped, or stuck
     state = std::move(best_state);
     circuit.append(Gate(best.factor, best.target));
     previous = best;
@@ -100,8 +77,8 @@ SynthesisResult synthesize_greedy(const Pprm& spec,
     result.termination = TerminationReason::kSolved;
   } else {
     result.circuit = Circuit(spec.num_vars());
-    if (stopped) {
-      result.termination = stop_reason;
+    if (poll.stopped()) {
+      result.termination = poll.reason();
     } else if (circuit.gate_count() >= max_gates) {
       result.termination = TerminationReason::kNodeBudget;
     } else {

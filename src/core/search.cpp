@@ -31,7 +31,6 @@ BasicSearch<Rep>::BasicSearch(Rep start, SynthesisOptions options,
       initial_terms_(start_.term_count()),
       tt_(tt),
       history_(history),
-      cancel_(options.cancel_token),
       sink_(options.trace_sink),
       profile_(options.phase_profile) {
   best_terms_ = initial_terms_;
@@ -192,11 +191,11 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
   {
     const ScopedPhaseTimer timer(profile_, Phase::kSubstitute);
     for (const Candidate& cand : candidates) {
-      // Polling here (not just between pops) bounds deadline overshoot by
-      // one substitute_delta even when a single expansion enumerates
-      // thousands of candidates at n >= 20; see should_stop().
-      if (should_stop()) {
-        termination_ = stop_reason_;
+      // Polling here (not just between pops) bounds deadline overshoot
+      // even when a single expansion enumerates thousands of candidates at
+      // n >= 20: each poll is charged what one substitute_delta costs.
+      if (stop_.stop(entry.terms)) {
+        termination_ = stop_.reason();
         release_state(std::move(entry.state));
         return true;
       }
@@ -282,8 +281,8 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
                                   : 2 * num_vars_;
   for (const ChildEval& ce : children) {
     if (ce.solved) continue;
-    if (should_stop()) {
-      termination_ = stop_reason_;
+    if (stop_.stop(entry.terms)) {
+      termination_ = stop_.reason();
       release_state(std::move(entry.state));
       return true;
     }
@@ -397,8 +396,7 @@ SynthesisResult BasicSearch<Rep>::run() {
   SynthesisResult result;
   result.initial_terms = initial_terms_;
   run_start_ = Clock::now();
-  deadline_ = run_deadline(cancel_, run_start_, options_.time_limit);
-  deadline_armed_ = deadline_ != Clock::time_point::max();
+  stop_ = StopPoll(options_.cancel_token, run_start_, options_.time_limit);
   // Report the table-traffic delta of this run: the pass-spanning table
   // may already hold counters from earlier passes.
   if (tt_ != nullptr) tt_before_ = tt_->snapshot();
@@ -439,11 +437,12 @@ SynthesisResult BasicSearch<Rep>::run() {
       termination_ = TerminationReason::kNodeBudget;
       break;
     }
-    // Polled every pop (the old every-64-pops cadence let a single slow
-    // expansion overshoot the deadline unboundedly at large n); the
-    // expansion loops poll per candidate on top of this.
-    if (should_stop()) {
-      termination_ = stop_reason_;
+    // Polled every pop, reading the clock when a deadline applies (the old
+    // every-64-pops cadence let a single slow expansion overshoot the
+    // deadline unboundedly at large n); the expansion loops poll per
+    // candidate on top of this, reading the clock by accumulated work.
+    if (stop_.stop()) {
+      termination_ = stop_.reason();
       break;
     }
     // The restart heuristic (Section IV-E) fires only while no solution
