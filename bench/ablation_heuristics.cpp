@@ -1,14 +1,19 @@
 /// \file ablation_heuristics.cpp
 /// \brief Ablation study over the design choices DESIGN.md calls out:
-/// priority weights (eq. 4), the additional-substitution classes
-/// (Section IV-D), greedy pruning (Section IV-E), the restart heuristic,
-/// and our extensions (transposition table, exemption budget/scope,
-/// iterative refinement).
+/// priority weights (eq. 4), the additional substitutions (Section IV-D),
+/// greedy pruning (Section IV-E), the restart heuristic, and our
+/// extensions (transposition table and its ceiling, history ordering,
+/// exemption budget and scope, iterative refinement, the dense kernel).
 ///
-/// Workload: a seeded sample of 3- and 4-variable random functions plus
-/// four Table IV benchmarks. Reported per configuration: average gates,
-/// failure count, average nodes expanded.
+/// Two workloads, every configuration on each, at the same node budget
+/// (`--max-nodes`, default 20000): Table A is a seeded sample of 3- and
+/// 4-variable random functions plus four Table IV benchmarks; Table B a
+/// seeded sample of 5-variable random functions plus three 5- to 7-line
+/// benchmarks, where the transposition table fills and history pays.
+/// Reported per configuration: average gates, failure count, average
+/// nodes expanded, transposition-table evictions and total wall time.
 
+#include <chrono>
 #include <functional>
 #include <iostream>
 #include <random>
@@ -35,17 +40,22 @@ struct Outcome {
   double avg_gates = 0;
   std::uint64_t fails = 0;
   double avg_nodes = 0;
+  std::uint64_t evictions = 0;
+  double wall_s = 0;
 };
 
 Outcome evaluate(const std::vector<Pprm>& workload,
                  const SynthesisOptions& options) {
+  using Clock = std::chrono::steady_clock;
   Outcome out;
   double gates = 0;
   double nodes = 0;
   std::uint64_t ok = 0;
+  const auto start = Clock::now();
   for (const Pprm& spec : workload) {
     const SynthesisResult r = synthesize(spec, options);
     nodes += static_cast<double>(r.stats.nodes_expanded);
+    out.evictions += r.stats.tt_evictions;
     if (!r.success) {
       ++out.fails;
       continue;
@@ -53,9 +63,27 @@ Outcome evaluate(const std::vector<Pprm>& workload,
     gates += r.circuit.gate_count();
     ++ok;
   }
+  out.wall_s = std::chrono::duration<double>(Clock::now() - start).count();
   out.avg_gates = ok ? gates / static_cast<double>(ok) : 0;
   out.avg_nodes = nodes / static_cast<double>(workload.size());
   return out;
+}
+
+void print_table(const std::vector<Pprm>& workload,
+                 const SynthesisOptions& base,
+                 const std::vector<Config>& configs) {
+  TextTable table({"Configuration", "Avg gates", "Fails", "Avg nodes",
+                   "TT evictions", "Wall s"});
+  for (const Config& cfg : configs) {
+    SynthesisOptions o = base;
+    cfg.tweak(o);
+    const Outcome out = evaluate(workload, o);
+    table.add_row({cfg.name, fixed(out.avg_gates),
+                   std::to_string(out.fails),
+                   std::to_string(static_cast<long long>(out.avg_nodes)),
+                   std::to_string(out.evictions), fixed(out.wall_s)});
+  }
+  table.print(std::cout);
 }
 
 }  // namespace
@@ -65,21 +93,30 @@ int main(int argc, char** argv) {
   bench::BenchTelemetry telemetry(args);
   const std::uint64_t n3 = args.samples ? args.samples : 150;
   const std::uint64_t n4 = args.samples ? args.samples / 3 + 1 : 50;
+  const std::uint64_t n5 = args.samples ? args.samples / 12 + 1 : 12;
 
-  std::vector<Pprm> workload;
+  std::vector<Pprm> small;
   std::mt19937_64 rng(args.seed);
   for (std::uint64_t i = 0; i < n3; ++i) {
-    workload.push_back(pprm_of_truth_table(random_reversible_function(3, rng)));
+    small.push_back(pprm_of_truth_table(random_reversible_function(3, rng)));
   }
   for (std::uint64_t i = 0; i < n4; ++i) {
-    workload.push_back(pprm_of_truth_table(random_reversible_function(4, rng)));
+    small.push_back(pprm_of_truth_table(random_reversible_function(4, rng)));
   }
   for (const char* name : {"3_17", "4_49", "hwb4", "decod24"}) {
-    workload.push_back(suite::get_benchmark(name).pprm);
+    small.push_back(suite::get_benchmark(name).pprm);
   }
 
-  SynthesisOptions base;
-  base.max_nodes = args.max_nodes ? args.max_nodes : 20000;
+  std::vector<Pprm> wide;
+  std::mt19937_64 rng5(args.seed);
+  for (std::uint64_t i = 0; i < n5; ++i) {
+    wide.push_back(pprm_of_truth_table(random_reversible_function(5, rng5)));
+  }
+  for (const char* name : {"5one013", "mod5adder", "rd53"}) {
+    wide.push_back(suite::get_benchmark(name).pprm);
+  }
+
+  const SynthesisOptions base = args.options(20000);
 
   const std::vector<Config> configs = {
       {"default", [](SynthesisOptions&) {}},
@@ -91,10 +128,7 @@ int main(int argc, char** argv) {
       {"cumulative elim priority",
        [](SynthesisOptions& o) { o.cumulative_elim_priority = true; }},
       {"basic substitutions only",
-       [](SynthesisOptions& o) {
-         o.allow_relaxed_targets = false;
-         o.allow_complement = false;
-       }},
+       [](SynthesisOptions& o) { o.additional_substitutions = false; }},
       {"greedy k=1", [](SynthesisOptions& o) { o.greedy_k = 1; }},
       {"greedy k=3", [](SynthesisOptions& o) { o.greedy_k = 3; }},
       {"greedy k=5", [](SynthesisOptions& o) { o.greedy_k = 5; }},
@@ -109,10 +143,6 @@ int main(int argc, char** argv) {
        [](SynthesisOptions& o) { o.use_history = false; }},
       {"no iterative refinement",
        [](SynthesisOptions& o) { o.iterative_refinement = false; }},
-      {"exempt scope = additional",
-       [](SynthesisOptions& o) {
-         o.exempt_scope = SynthesisOptions::ExemptScope::kAdditional;
-       }},
       {"exempt scope = any",
        [](SynthesisOptions& o) {
          o.exempt_scope = SynthesisOptions::ExemptScope::kAny;
@@ -121,26 +151,23 @@ int main(int argc, char** argv) {
        [](SynthesisOptions& o) { o.exempt_budget = 0; }},
       {"exempt budget = 4",
        [](SynthesisOptions& o) { o.exempt_budget = 4; }},
-      {"forbid exempt chains",
-       [](SynthesisOptions& o) { o.forbid_exempt_chains = true; }},
+      {"sparse kernel only",
+       [](SynthesisOptions& o) { o.dense_threshold = 0; }},
   };
 
   std::cout << "=== Ablation: search heuristics and extensions ===\n"
-            << "workload: " << n3 << " random 3-var + " << n4
-            << " random 4-var functions + 4 Table IV benchmarks; budget "
-            << base.max_nodes << " nodes\n\n";
-
-  TextTable table({"Configuration", "Avg gates", "Fails", "Avg nodes"});
-  for (const Config& cfg : configs) {
-    SynthesisOptions o = base;
-    cfg.tweak(o);
-    const Outcome out = evaluate(workload, o);
-    table.add_row({cfg.name, fixed(out.avg_gates),
-                   std::to_string(out.fails),
-                   std::to_string(static_cast<long long>(out.avg_nodes))});
-  }
-  table.print(std::cout);
+            << "budget " << base.max_nodes
+            << " nodes per function; Wall s is the whole row\n\n"
+            << "Table A: " << n3 << " random 3-var + " << n4
+            << " random 4-var functions + 4 Table IV benchmarks\n";
+  print_table(small, base, configs);
+  std::cout << "\nTable B: " << n5
+            << " random 5-var functions + 5one013, mod5adder, rd53 (5-7"
+               " lines)\n";
+  print_table(wide, base, configs);
   std::cout << "\nLower avg gates / fails is better; avg nodes measures"
-               " search effort actually spent (budget-capped).\n";
+               " search effort actually spent (budget-capped). The sparse"
+               " kernel returns the default's circuits by construction, so"
+               " its row differs only in wall time.\n";
   return 0;
 }

@@ -41,11 +41,16 @@ struct BenchArgs {
   int tt_mb = 0;  // 0 = library default
   bool use_history = true;
 
-  /// Copies the flags that map one-to-one onto SynthesisOptions fields.
-  void apply(SynthesisOptions& options) const {
-    if (dense_threshold >= 0) options.dense_threshold = dense_threshold;
-    if (tt_mb > 0) options.tt_mb = tt_mb;
-    options.use_history = use_history;
+  /// The search options every harness starts from: the library defaults,
+  /// `--max-nodes` (else `default_nodes`, the harness's own budget) and
+  /// the flags that map one-to-one onto SynthesisOptions fields.
+  [[nodiscard]] SynthesisOptions options(std::uint64_t default_nodes) const {
+    SynthesisOptions o;
+    o.max_nodes = max_nodes ? max_nodes : default_nodes;
+    if (dense_threshold >= 0) o.dense_threshold = dense_threshold;
+    if (tt_mb > 0) o.tt_mb = tt_mb;
+    o.use_history = use_history;
+    return o;
   }
 
   /// Adds the shared harness flags to `flags`, bound to this object.

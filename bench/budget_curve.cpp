@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
   for (const std::uint64_t budget :
        {std::uint64_t{1000}, std::uint64_t{3000}, std::uint64_t{10000},
         std::uint64_t{30000}, std::uint64_t{100000}}) {
-    SynthesisOptions options;
-    options.max_nodes = budget;
+    SynthesisOptions options = args.options(budget);
+    options.max_nodes = budget;  // the curve's axis, whatever --max-nodes says
     options.max_gates = 40;
     std::mt19937_64 rng(args.seed);
     double gates = 0;

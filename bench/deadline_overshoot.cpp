@@ -64,9 +64,9 @@ int main(int argc, char** argv) {
             random_circuit(vars, 2 * vars, GateLibrary::kGT, rng).to_pprm();
         ResilienceOptions options;
         options.deadline = std::chrono::milliseconds(deadline_ms);
+        // Unlimited nodes: only the deadline stops a run.
+        options.search = args.options(0);
         options.search.stop_at_first_solution = true;
-        options.search.max_nodes = 0;
-        args.apply(options.search);
         const auto t0 = Clock::now();
         const ResilientResult rr = synthesize_resilient(spec, options);
         const long wall = static_cast<long>(

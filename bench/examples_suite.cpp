@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   using namespace rmrls;
   const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   bench::BenchTelemetry telemetry(args);
-  SynthesisOptions options;
-  options.max_nodes = args.max_nodes ? args.max_nodes : 200000;
+  const SynthesisOptions options = args.options(200000);
 
   struct Row {
     std::string label;

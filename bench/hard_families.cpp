@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
                    "Outcome"});
   for (const Row& row : rows) {
     const Pprm spec = pprm_of_truth_table(row.table);
-    SynthesisOptions options;
-    options.max_nodes = args.max_nodes ? args.max_nodes : row.nodes;
+    const SynthesisOptions options = args.options(row.nodes);
     const SynthesisResult r = synthesize(spec, options);
     if (r.success && implements(r.circuit, row.table)) {
       table.add_row({row.name, std::to_string(row.table.num_vars()),
@@ -92,8 +91,7 @@ int main(int argc, char** argv) {
   std::vector<int> gates_of(modes.size(), -1);
   for (std::size_t i = 0; i < modes.size(); ++i) {
     const Mode& m = modes[i];
-    SynthesisOptions o;
-    o.max_nodes = args.max_nodes ? args.max_nodes : 2000000;
+    SynthesisOptions o = args.options(2000000);
     o.use_history = m.history;
     const SynthesisResult r = synthesize(ham_spec, o);
     const bool ok = r.success && implements(r.circuit, ham);

@@ -425,7 +425,8 @@ BENCHMARK(BM_TransformationBased)->Arg(3)->Arg(6)->Arg(8);
 // building blocks of a verified cache hit; BM_CacheHitPath is the whole
 // hit service — canonicalize, shard lookup, wire relabeling, equivalence
 // re-verification — i.e. the numerator of the "hit latency < 1% of cold
-// synthesis" claim that bench/batch_throughput measures end to end.
+// synthesis" claim; bench/e2e's orbit_warm and cold_search workloads
+// measure the batch engine around it end to end.
 
 void BM_Canonicalize(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -530,8 +531,8 @@ BENCHMARK(BM_ColdSynthesisRandom4);
 // The batch engine on a fixed 16-job, 50%-orbit-repeat 4-variable
 // workload, sequentially (no cache) vs with a fresh orbit cache per
 // iteration. Single-threaded on purpose: the pair isolates the cache's
-// work-avoidance from the thread pool's parallelism (which
-// bench/batch_throughput measures with real thread counts).
+// work-avoidance from the thread pool's parallelism (which bench/e2e's
+// cold_search workload measures with two job threads).
 std::vector<BatchJob> micro_batch_jobs() {
   std::mt19937_64 rng(24);
   std::vector<TruthTable> bases;

@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   using namespace rmrls;
   const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   bench::BenchTelemetry telemetry(args);
-  SynthesisOptions options;
-  options.max_nodes = args.max_nodes ? args.max_nodes : 50000;
+  const SynthesisOptions options = args.options(50000);
 
   std::cout << "=== Extension: GT -> NCT decomposition of Table IV"
                " circuits ===\n"

@@ -34,11 +34,9 @@ inline int run_scalability_table(const char* title, int max_gate_count,
       args.full ? paper_samples
                 : (args.samples ? args.samples : default_samples);
 
-  SynthesisOptions options;
-  options.max_nodes = args.max_nodes ? args.max_nodes : default_nodes;
+  SynthesisOptions options = args.options(default_nodes);
   options.stop_at_first_solution = true;
   options.greedy_k = 4;  // the paper's greedy option
-  args.apply(options);   // --dense-threshold, --tt-mb, kill switches
 
   std::cout << "=== " << title << " ===\n"
             << samples << " random GT cascades per variable count (paper: "

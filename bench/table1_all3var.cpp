@@ -56,9 +56,7 @@ int main(int argc, char** argv) {
   const std::uint64_t sample =
       args.full ? 40320 : (args.samples ? args.samples : 4000);
 
-  SynthesisOptions options;
-  options.max_nodes = args.max_nodes ? args.max_nodes : 20000;
-  args.apply(options);  // --dense-threshold, --tt-mb, kill switches
+  const SynthesisOptions options = args.options(20000);
 
   std::cout << "=== Table I: three-variable reversible functions ===\n"
             << (args.full ? "all 40320 functions"

@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
   const std::uint64_t sample =
       args.full ? 50000 : (args.samples ? args.samples : 500);
 
-  SynthesisOptions options;
-  options.max_nodes = args.max_nodes ? args.max_nodes : 30000;
+  SynthesisOptions options = args.options(30000);
   options.max_gates = 40;   // the paper's cap
   options.greedy_k = 0;
 

@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
   const std::uint64_t sample =
       args.full ? 3000 : (args.samples ? args.samples : 60);
 
-  SynthesisOptions options;
-  options.max_nodes = args.max_nodes ? args.max_nodes : 60000;
+  SynthesisOptions options = args.options(60000);
   options.max_gates = 60;  // the paper's cap
   options.greedy_k = 4;    // the paper's greedy option
 

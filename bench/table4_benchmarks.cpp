@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
   bench::BenchTelemetry telemetry(args);
   bench::BenchJson json(args);
 
-  SynthesisOptions options;
-  options.max_nodes = args.max_nodes ? args.max_nodes : 200000;
+  const SynthesisOptions options = args.options(200000);
 
   std::cout << "=== Table IV: reversible logic benchmarks ===\n"
             << "search budget " << options.max_nodes

@@ -23,17 +23,17 @@ SynthesisResult synthesize_greedy(const Pprm& spec,
 
   // Greedy is the anytime fallback of the resilience cascade
   // (docs/robustness.md): it shares the search engine's stop poll
-  // (cancellation token, wall-clock limit), polled per step and, charged
-  // with the system's term count, per candidate, so overshoot stays
-  // within one substitution even on wide systems.
+  // (cancellation token, wall-clock limit), polled per step and per
+  // candidate, each poll charged with the system's term count, so
+  // overshoot stays within one substitution even on wide systems.
   StopPoll poll(options.cancel_token, start_time, options.time_limit);
 
-  while (!state.is_identity() && circuit.gate_count() < max_gates &&
-         !poll.stop()) {
+  while (!state.is_identity() && circuit.gate_count() < max_gates) {
+    const int terms = state.term_count();
+    if (poll.stop(terms)) break;
     const std::vector<Candidate> candidates = enumerate_candidates(
         state, options, have_previous ? &previous : nullptr);
     const int depth = circuit.gate_count() + 1;
-    const int terms = state.term_count();
 
     bool found = false;
     Candidate best{};

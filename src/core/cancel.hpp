@@ -124,10 +124,10 @@ class ScopedDeadline {
 
 /// The stop poll of one search or greedy run. Every poll loads the
 /// token's flag. The clock is read only when a deadline applies, and then
-/// by work: a plain poll (one per pop, one per greedy step) reads it, and
-/// a poll charged with the term count of the system about to be
-/// substituted reads it once kClockWork terms have accumulated since the
-/// last read. The first reason seen is latched.
+/// by work: each poll (per pop, per greedy step, per candidate) is charged
+/// the term count of the system it is about to expand or substitute into,
+/// and the clock is read on the first poll and then once kClockWork terms
+/// have accumulated since the last read. The first reason seen is latched.
 class StopPoll {
  public:
   using Clock = CancelToken::Clock;
@@ -152,9 +152,6 @@ class StopPoll {
     if (token != nullptr) deadline_ = token->deadline();
     if (limit.count() > 0) deadline_ = std::min(deadline_, start + limit);
   }
-
-  /// True once the run must stop; reads the clock if a deadline applies.
-  [[nodiscard]] bool stop() { return stop(kClockWork); }
 
   /// True once the run must stop; charges `terms` of work and reads the
   /// clock if a deadline applies and kClockWork terms have accumulated.
@@ -198,7 +195,9 @@ class StopPoll {
   Clock::time_point deadline_ = Clock::time_point::max();
   bool stopped_ = false;
   TerminationReason reason_ = TerminationReason::kTimeLimit;
-  std::int64_t work_ = 0;
+  // Starts full, so a run's first poll reads the clock: a run that starts
+  // past its deadline stops before it expands anything.
+  std::int64_t work_ = kClockWork;
 };
 
 }  // namespace rmrls

@@ -14,19 +14,17 @@ void enumerate_candidates_into(const Pprm& p, const SynthesisOptions& options,
     const Cube bit = cube_of_var(t);
     const bool has_solitary = expansion.contains(bit);
     bool offered_const = false;
-    if (has_solitary || options.allow_relaxed_targets) {
+    if (has_solitary || options.additional_substitutions) {
       for (Cube c : expansion.cubes()) {
         if (c & bit) continue;  // target cannot also be a control
-        Candidate cand{t, c};
-        cand.additional = !has_solitary || c == kConstOne;
+        const Candidate cand{t, c};
         if (skip != nullptr && cand == *skip) continue;
         out.push_back(cand);
         offered_const |= (c == kConstOne);
       }
     }
-    if (options.allow_complement && !offered_const) {
-      Candidate cand{t, kConstOne};
-      cand.additional = true;
+    if (options.additional_substitutions && !offered_const) {
+      const Candidate cand{t, kConstOne};
       if (skip == nullptr || !(cand == *skip)) out.push_back(cand);
     }
   }
@@ -50,7 +48,7 @@ void enumerate_bitset_candidates(const Bitsets& p,
     const Cube bit = cube_of_var(t);
     const bool has_solitary = p.output_contains(t, bit);
     bool offered_const = false;
-    if (has_solitary || options.allow_relaxed_targets) {
+    if (has_solitary || options.additional_substitutions) {
       for (std::size_t w = 0; w < words; ++w) {
         // The target cannot also be a control: mask out (t < 6) or skip
         // (t >= 6) the half of the spectrum whose cubes contain v_t.
@@ -62,17 +60,15 @@ void enumerate_bitset_candidates(const Bitsets& p,
           const Cube c =
               base + static_cast<unsigned>(std::countr_zero(word));
           word &= word - 1;
-          Candidate cand{t, c};
-          cand.additional = !has_solitary || c == kConstOne;
+          const Candidate cand{t, c};
           if (skip != nullptr && cand == *skip) continue;
           out.push_back(cand);
           offered_const |= (c == kConstOne);
         }
       }
     }
-    if (options.allow_complement && !offered_const) {
-      Candidate cand{t, kConstOne};
-      cand.additional = true;
+    if (options.additional_substitutions && !offered_const) {
+      const Candidate cand{t, kConstOne};
       if (skip == nullptr || !(cand == *skip)) out.push_back(cand);
     }
   }

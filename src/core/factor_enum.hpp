@@ -4,9 +4,9 @@
 /// Section IV-A (basic) and IV-D (additional substitutions): for each input
 /// variable v_t, candidate factors are the product terms of the paired
 /// output's expansion that do not contain v_t. The basic algorithm also
-/// requires the solitary term v_t to be present in that expansion; class-1
-/// additional substitutions drop this requirement, and class-2 additionally
-/// always offers `v_t <- v_t XOR 1`.
+/// requires the solitary term v_t to be present in that expansion; the
+/// additional substitutions drop this requirement and always offer
+/// `v_t <- v_t XOR 1` (SynthesisOptions::additional_substitutions).
 
 #pragma once
 
@@ -24,13 +24,6 @@ namespace rmrls {
 struct Candidate {
   int target = 0;
   Cube factor = kConstOne;
-
-  /// True for "additional" substitutions (Section IV-D): the complement
-  /// `v_t <- v_t XOR 1`, or any factor taken while the solitary term v_t
-  /// is absent from out_t's expansion. These may be applied even when they
-  /// do not reduce the term count (subject to the per-path exemption
-  /// budget) — without that, pure wire permutations are unreachable.
-  bool additional = false;
 
   [[nodiscard]] bool is_complement() const { return factor == kConstOne; }
 

@@ -14,8 +14,8 @@ struct PhaseProfile;  // obs/phase_profile.hpp
 class CancelToken;    // core/cancel.hpp
 
 /// Options controlling the RMRLS best-first search. Defaults reproduce the
-/// paper's configuration: priority weights (0.3, 0.6, 0.1), both classes of
-/// additional substitutions enabled, and the restart heuristic armed at
+/// paper's configuration: priority weights (0.3, 0.6, 0.1), the additional
+/// substitutions of Section IV-D enabled, and the restart heuristic armed at
 /// ~10000 steps. Wall-clock limits are off by default in favour of the
 /// deterministic node budget (see DESIGN.md).
 struct SynthesisOptions {
@@ -25,13 +25,11 @@ struct SynthesisOptions {
   double beta = 0.6;
   double gamma = 0.1;
 
-  /// Additional substitution class 1 (Section IV-D): allow factors from
-  /// out_t even when the solitary term v_t is absent from its expansion.
-  bool allow_relaxed_targets = true;
-
-  /// Additional substitution class 2 (Section IV-D): always allow
-  /// `v_t <- v_t XOR 1`, exempt from the elim > 0 pruning rule.
-  bool allow_complement = true;
+  /// The additional substitutions of Section IV-D, both classes: factors
+  /// from out_t even when the solitary term v_t is absent from its
+  /// expansion, and `v_t <- v_t XOR 1` always. false (`--no-extra`) keeps
+  /// only the basic substitutions of Section IV-A.
+  bool additional_substitutions = true;
 
   /// Cap on non-reducing substitutions per search path. The paper leaves
   /// its exemption unbounded, but then eq. (4)'s depth reward lets the
@@ -43,19 +41,13 @@ struct SynthesisOptions {
   /// non-reducing). Ablated in bench/ablation.
   int exempt_budget = -1;
 
-  /// Forbid a non-reducing substitution from directly following another
-  /// one. Off by default (swap chains need consecutive non-reducing
-  /// steps); available for ablation.
-  bool forbid_exempt_chains = false;
-
   /// Which substitutions may be applied without reducing the term count
   /// (within the budget above). kComplement (only `v <- v XOR 1`, closest
-  /// to the paper's text) gives the best circuits; kAdditional widens to
-  /// the Section IV-D classes; kAny is needed for full coverage — some
-  /// functions are provably unreachable under the narrower scopes (see
-  /// DESIGN.md). synthesize() tries kComplement first and falls back to
-  /// kAny on failure.
-  enum class ExemptScope { kComplement, kAdditional, kAny };
+  /// to the paper's text) gives the best circuits; kAny is needed for full
+  /// coverage — some functions are provably unreachable under the narrow
+  /// scope (see DESIGN.md). synthesize() tries kComplement first and falls
+  /// back to kAny on failure.
+  enum class ExemptScope { kComplement, kAny };
   ExemptScope exempt_scope = ExemptScope::kComplement;
 
   /// Greedy pruning (Section IV-E): keep only the best `greedy_k`

@@ -139,7 +139,7 @@ bool BasicSearch<Rep>::record_solution(std::int32_t parent, const Gate& gate,
                                        std::uint8_t exempt_count) {
   if (best_depth_ >= 0 && child_depth >= best_depth_) return false;
   reward_solution_path(parent, gate, child_depth);
-  arena_.push_back({parent, gate, child_depth, exempt_count, false});
+  arena_.push_back({parent, gate, child_depth, exempt_count});
   best_node_ = static_cast<std::int32_t>(arena_.size()) - 1;
   best_depth_ = child_depth;
   stats_.nodes_at_best = stats_.nodes_expanded;
@@ -290,20 +290,7 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
     // (strict monotone pruning provably disconnects e.g. wire
     // permutations from the identity); see DESIGN.md.
     const bool exempt = ce.elim <= 0;
-    bool exempt_allowed = false;
-    switch (options_.exempt_scope) {
-      case SynthesisOptions::ExemptScope::kComplement:
-        exempt_allowed = ce.cand.is_complement();
-        break;
-      case SynthesisOptions::ExemptScope::kAdditional:
-        exempt_allowed = ce.cand.additional;
-        break;
-      case SynthesisOptions::ExemptScope::kAny:
-        exempt_allowed = true;
-        break;
-    }
-    if (exempt && (!exempt_allowed ||
-                   (node.exempt && options_.forbid_exempt_chains) ||
+    if (exempt && ((narrow_scope && !ce.cand.is_complement()) ||
                    node.exempt_count >= exempt_budget)) {
       ++stats_.pruned_elim;
       emit_prune(PruneReason::kElim, child_depth, ce.terms);
@@ -340,8 +327,7 @@ bool BasicSearch<Rep>::expand(QueueEntry entry) {
     }
     arena_.push_back(
         {entry.node, Gate(ce.cand.factor, ce.cand.target), child_depth,
-         static_cast<std::uint8_t>(node.exempt_count + (exempt ? 1 : 0)),
-         exempt});
+         static_cast<std::uint8_t>(node.exempt_count + (exempt ? 1 : 0))});
     QueueEntry child;
     child.priority = ce.priority;
     child.seq = next_seq_++;
@@ -421,7 +407,7 @@ SynthesisResult BasicSearch<Rep>::run() {
     return result;
   }
 
-  arena_.push_back({-1, Gate(), 0, 0, false});
+  arena_.push_back({-1, Gate(), 0, 0});
   QueueEntry root;
   root.priority = std::numeric_limits<double>::infinity();
   root.seq = next_seq_++;
@@ -437,11 +423,11 @@ SynthesisResult BasicSearch<Rep>::run() {
       termination_ = TerminationReason::kNodeBudget;
       break;
     }
-    // Polled every pop, reading the clock when a deadline applies (the old
-    // every-64-pops cadence let a single slow expansion overshoot the
-    // deadline unboundedly at large n); the expansion loops poll per
-    // candidate on top of this, reading the clock by accumulated work.
-    if (stop_.stop()) {
+    // Polled every pop, charged with the term count of the entry about to
+    // be expanded (the old every-64-pops cadence let a single slow
+    // expansion overshoot the deadline unboundedly at large n); the
+    // expansion loops poll per candidate on top of this.
+    if (stop_.stop(heap_.front().terms)) {
       termination_ = stop_.reason();
       break;
     }

@@ -76,14 +76,12 @@ class BasicSearch {
     std::int32_t parent = -1;
     Gate gate;
     std::int32_t depth = 0;
-    /// Number of non-reducing (elim <= 0) complement substitutions on the
-    /// path from the root, and whether this node itself was created by
-    /// one. Eq. (4) rewards depth, so an unbounded supply of exempt
+    /// Number of non-reducing (elim <= 0) substitutions on the path from
+    /// the root. Eq. (4) rewards depth, so an unbounded supply of exempt
     /// substitutions would let the search dive forever down junk paths;
-    /// we forbid chaining them and cap their count per path
-    /// (SynthesisOptions::exempt_budget). See DESIGN.md.
+    /// we cap their count per path (SynthesisOptions::exempt_budget). See
+    /// DESIGN.md.
     std::uint8_t exempt_count = 0;
-    bool exempt = false;
   };
 
   struct QueueEntry {
@@ -201,9 +199,9 @@ class BasicSearch {
 
   /// Resilience (core/cancel.hpp, docs/robustness.md): the caller's
   /// cancellation token and the run's deadline, which run() fixes from
-  /// the token and SynthesisOptions::time_limit. Polled once per pop and,
-  /// charged with the parent's term count, once per candidate in each
-  /// expansion loop, so a deadline is overshot by at most about
+  /// the token and SynthesisOptions::time_limit. Polled once per pop and
+  /// once per candidate in each expansion loop, each poll charged with the
+  /// parent's term count, so a deadline is overshot by at most about
   /// StopPoll::kClockWork terms of substitution work: one candidate once
   /// a parent has that many terms.
   StopPoll stop_;

@@ -26,8 +26,7 @@ TEST(FactorEnum, BasicSubstitutionsMatchPaperExample) {
   // Section IV-B: from Fig. 1's expansions the basic algorithm identifies
   // a = a XOR 1, b = b XOR c, b = b XOR ac.
   SynthesisOptions o;
-  o.allow_relaxed_targets = false;
-  o.allow_complement = false;
+  o.additional_substitutions = false;
   const auto cands = enumerate_candidates(fig1(), o, nullptr);
   EXPECT_EQ(cands.size(), 3u);
   EXPECT_TRUE(has(cands, 0, kConstOne));
@@ -39,28 +38,13 @@ TEST(FactorEnum, AdditionalSubstitutionsMatchPaperExample) {
   // Section IV-D: relaxing the solitary-term requirement adds c = c XOR b
   // and c = c XOR ab; the complement class adds b = b XOR 1 and
   // c = c XOR 1 (Fig. 6).
-  SynthesisOptions o;  // both classes on by default
+  SynthesisOptions o;  // on by default
   const auto cands = enumerate_candidates(fig1(), o, nullptr);
   EXPECT_TRUE(has(cands, 2, cube_of_var(1)));
   EXPECT_TRUE(has(cands, 2, cube_of_var(0) | cube_of_var(1)));
   EXPECT_TRUE(has(cands, 1, kConstOne));
   EXPECT_TRUE(has(cands, 2, kConstOne));
   EXPECT_EQ(cands.size(), 7u);
-}
-
-TEST(FactorEnum, AdditionalFlagIsSetCorrectly) {
-  SynthesisOptions o;
-  for (const Candidate& c : enumerate_candidates(fig1(), o, nullptr)) {
-    if (c.target == 2) {
-      // c_out = b + ab + ac has no solitary c: all its factors are
-      // "additional" substitutions.
-      EXPECT_TRUE(c.additional);
-    } else if (c.factor == kConstOne) {
-      EXPECT_TRUE(c.additional);
-    } else {
-      EXPECT_FALSE(c.additional);
-    }
-  }
 }
 
 TEST(FactorEnum, FactorsNeverContainTheTarget) {
@@ -99,9 +83,9 @@ TEST(FactorEnum, IdentityYieldsOnlyComplements) {
   for (const Candidate& c : cands) EXPECT_TRUE(c.is_complement());
 }
 
-TEST(FactorEnum, DisablingComplementRemovesConstantForMissingTargets) {
+TEST(FactorEnum, BasicOnlyOffersNoComplementForMissingConstants) {
   SynthesisOptions o;
-  o.allow_complement = false;
+  o.additional_substitutions = false;
   const auto cands = enumerate_candidates(Pprm::identity(3), o, nullptr);
   EXPECT_TRUE(cands.empty());
 }

@@ -13,7 +13,7 @@
 namespace rmrls {
 namespace {
 
-using Combo = std::tuple<int /*scope*/, int /*greedy_k*/, bool /*tt*/,
+using Combo = std::tuple<bool /*any scope*/, int /*greedy_k*/, bool /*tt*/,
                          bool /*refine*/, bool /*cumulative*/>;
 
 class OptionsMatrix : public ::testing::TestWithParam<Combo> {};
@@ -21,17 +21,9 @@ class OptionsMatrix : public ::testing::TestWithParam<Combo> {};
 SynthesisOptions make_options(const Combo& combo) {
   SynthesisOptions o;
   o.max_nodes = 15000;
-  switch (std::get<0>(combo)) {
-    case 0:
-      o.exempt_scope = SynthesisOptions::ExemptScope::kComplement;
-      break;
-    case 1:
-      o.exempt_scope = SynthesisOptions::ExemptScope::kAdditional;
-      break;
-    default:
-      o.exempt_scope = SynthesisOptions::ExemptScope::kAny;
-      break;
-  }
+  o.exempt_scope = std::get<0>(combo)
+                       ? SynthesisOptions::ExemptScope::kAny
+                       : SynthesisOptions::ExemptScope::kComplement;
   o.greedy_k = std::get<1>(combo);
   o.use_transposition_table = std::get<2>(combo);
   o.iterative_refinement = std::get<3>(combo);
@@ -50,8 +42,9 @@ TEST_P(OptionsMatrix, NeverReturnsAWrongCircuit) {
           << spec.to_string() << " under combo";
       EXPECT_GT(r.circuit.gate_count(), 0);
     }
-    EXPECT_LE(r.stats.nodes_expanded,
-              options.max_nodes + 2 * options.max_nodes);  // scout+retry
+    // max_nodes bounds the whole call: the opening pass, the broad-scope
+    // retry and every refinement pass together.
+    EXPECT_LE(r.stats.nodes_expanded, options.max_nodes);
   }
 }
 
@@ -69,7 +62,7 @@ TEST_P(OptionsMatrix, DeterministicPerConfiguration) {
 
 INSTANTIATE_TEST_SUITE_P(
     Combos, OptionsMatrix,
-    ::testing::Combine(::testing::Values(0, 1, 2),      // exemption scope
+    ::testing::Combine(::testing::Bool(),               // exemption scope
                        ::testing::Values(0, 3),         // greedy k
                        ::testing::Bool(),               // transposition
                        ::testing::Bool(),               // refinement
@@ -86,7 +79,8 @@ TEST(OptionsEdges, WallClockLimitStopsTheSearch) {
   (void)synthesize(spec, o);
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - t0);
-  // Scout + fallback + refinement each get the limit; stay well under 2 s.
+  // time_limit bounds the whole call, every pass included; 5 s leaves
+  // room for a loaded host.
   EXPECT_LT(elapsed.count(), 5000);
 }
 

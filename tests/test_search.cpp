@@ -136,8 +136,7 @@ TEST(Search, GreedyKeepsKPerVariable) {
 
 TEST(Search, BasicOnlyModeStillSolvesFig1) {
   SynthesisOptions o = quick();
-  o.allow_relaxed_targets = false;
-  o.allow_complement = false;
+  o.additional_substitutions = false;
   o.iterative_refinement = false;
   const TruthTable spec({1, 0, 7, 2, 3, 4, 5, 6});
   const SynthesisResult r = synthesize(spec, o);
